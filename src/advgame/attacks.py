@@ -193,8 +193,9 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
     best_x = np.array(X, copy=True)
     best_loss = np.full(X.shape[0], -np.inf)
     for restart in range(cfg.restarts):
-        # per-restart stream: row i's draw is a function of (seed, restart, i),
-        # independent of how samples are batched
+        # per-restart stream drawn for the whole batch shape from (seed, restart):
+        # row i's start depends on the batch it sits in, and every batch of the
+        # same shape gets the same start pattern
         rng = np.random.default_rng((cfg.seed, restart))
         init = rng.uniform(-eps, eps, X.shape) if cfg.random_init else 0.0
         x_adv = _clip_box(X + init, box)

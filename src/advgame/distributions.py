@@ -339,17 +339,42 @@ def bayes_roots(spec: DistributionSpec, scan_points: int = 4097) -> list[float]:
     vals = f(xs)
     roots = []
     sign = np.sign(vals)
-    for i in range(len(xs) - 1):
+    for i in np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0)):
         if sign[i] == 0:
             roots.append(float(xs[i]))
-        elif sign[i] * sign[i + 1] < 0:
+        else:
             roots.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-14)))
+    roots.extend(_island_roots(spec, f, xs, sign))
     # dedupe near-identical roots from flat crossings
     out: list[float] = []
-    for r in roots:
+    for r in sorted(roots):
         if not out or r - out[-1] > 1e-12:
             out.append(r)
     return out
+
+
+def _island_roots(spec: DistributionSpec, f, xs: np.ndarray, sign: np.ndarray) -> list[float]:
+    """Roots of sign islands narrower than the scan spacing.
+
+    f is probed at every component mean and at mean +- 1 sd. A probe whose
+    sign is opposite to both (equal) ends of its scan interval marks an
+    island the scan stepped over; one root is solved for on each side of the
+    interval's probes.
+    """
+    probes = np.array([
+        c.mean[0] + k * math.sqrt(c.var[0])
+        for c in spec.components_pos + spec.components_neg for k in (-1, 0, 1)
+    ])
+    idx = np.searchsorted(xs, probes) - 1
+    inside = (idx >= 0) & (idx < len(xs) - 1)
+    probes, idx = probes[inside], idx[inside]
+    island = (sign[idx] != 0) & (sign[idx] == sign[idx + 1]) & (np.sign(f(probes)) == -sign[idx])
+    roots = []
+    for i in np.unique(idx[island]):
+        ps = probes[island & (idx == i)]
+        roots.append(float(brentq(f, xs[i], ps.min(), xtol=1e-14)))
+        roots.append(float(brentq(f, ps.max(), xs[i + 1], xtol=1e-14)))
+    return roots
 
 
 # ---------------------------------------------------------------------------

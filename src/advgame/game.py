@@ -46,6 +46,7 @@ from .hypotheses import (
     Interval1D,
     Linear,
     MixedClassifier,
+    _cell_midpoint,
     as_mixture,
     interval_form,
     make_interval1d,
@@ -331,16 +332,9 @@ def _error_profile(model) -> tuple[list[float], np.ndarray, np.ndarray]:
 
 
 def _cell_probes(breaks: list[float]) -> np.ndarray:
+    """A strictly interior probe point of every cell."""
     edges = [-math.inf] + list(breaks) + [math.inf]
-    return np.array(
-        [  # strictly interior probe point of every cell
-            0.0 if math.isinf(lo) and math.isinf(hi)
-            else hi - 1.0 if math.isinf(lo)
-            else lo + 1.0 if math.isinf(hi)
-            else 0.5 * (lo + hi)
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-    )
+    return np.array([_cell_midpoint(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
 
 
 def _expected_point_error(model, x: float, label: int) -> float:
@@ -666,6 +660,8 @@ def _transported_bayes(tr: Transported1D) -> Interval1D:
     labels = []
     nu1 = spec.prior_pos
     for loc, masses in atom_masses.items():
+        if masses[1] == 0.0 and masses[-1] == 0.0:
+            continue  # a zero-mass atom has nothing to classify
         lab = 1 if nu1 * masses[1] >= (1 - nu1) * masses[-1] else -1
         labels.append((loc, lab))
     point_labels = [(loc, lab) for loc, lab in labels if loc in breaks]
@@ -720,21 +716,66 @@ def _essential_error_pair(forms_weights, z: np.ndarray) -> tuple[np.ndarray, np.
     )
 
 
-def _essential_expected_errors(model, Z: np.ndarray, label: int) -> np.ndarray:
-    mix = as_mixture(model)
-    try:
-        fw = _forms_weights(mix)
-    except UnsupportedKind:
-        return mix.expected_errors(Z.reshape(-1, 1) if Z.ndim == 1 else Z, label)
-    pair = _essential_error_pair(fw, Z.ravel())
-    return pair[0] if label == 1 else pair[1]
-
-
 def _forms_weights(mix: MixedClassifier):
     return [
         (q, np.asarray(f.breaks), np.asarray(f.signs))
         for q, f in ((q, interval_form(h)) for q, h in zip(mix.weights, mix.hypotheses))
     ]
+
+
+def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, labels):
+    """Yield (rows, Z, |offsets|, {label: err - lam*pen}) per block of xs.
+
+    The ball grid is Z = x + offsets[j], offsets = linspace(-eps, eps, grid_n).
+    Each row holds, in ascending j, only the candidate offsets that can carry
+    max_j [err(Z_j) - lam*pen(offsets[j])]: the origin index, plus a window of
+    j = k-2 .. k+2 around k = searchsorted(offsets, b - x) for every distinct
+    break b of the interval forms that some ball of the block reaches. This is
+    exact: the one-sided error is constant on each run of grid points between
+    consecutive breaks (and on each run sitting exactly on a break), and the
+    penalty grows with |offset|, so a run's best point is the origin or its
+    end nearest the origin, which lies next to a break. Rounding b - x instead
+    of x + offsets[j] moves that end by at most one index. The values kept are
+    computed exactly as on the full grid, so maxima are bit-identical, and the
+    first maximizer of smallest |offset| is the same grid point. A model
+    without interval forms keeps all grid_n offsets.
+    """
+    offsets = np.linspace(-cfg.epsilon, cfg.epsilon, grid_n)
+    if cfg.penalty == "mass":
+        pens = cfg.lam * (np.abs(offsets) > 0)
+    elif cfg.penalty == "norm":
+        pens = cfg.lam * np.abs(offsets)
+    else:
+        pens = np.zeros_like(offsets)
+    abs_off = np.abs(offsets)
+    origin = int(np.argmin(abs_off))
+    window = np.arange(-2, 3)
+    mix = as_mixture(model)
+    try:
+        fw = _forms_weights(mix)
+        all_breaks = np.unique(np.concatenate([b for _, b, _ in fw]))
+    except UnsupportedKind:
+        fw = None
+    chunk = max(1, int(4e6 // grid_n))
+    for i in range(0, len(xs), chunk):
+        block = xs[i:i + chunk]
+        J = np.arange(grid_n)[None, :]
+        if fw is not None:
+            lo, hi = block.min() + offsets[0], block.max() + offsets[-1]
+            bs = all_breaks[(all_breaks >= lo) & (all_breaks <= hi)]
+            if 1 + window.size * bs.size < grid_n:
+                k = np.searchsorted(offsets, bs[None, :] - block[:, None])
+                near = (k[:, :, None] + window).reshape(len(block), -1)
+                J = np.column_stack([np.full(len(block), origin), near])
+                J = np.sort(np.clip(J, 0, grid_n - 1), axis=1)
+        J = np.broadcast_to(J, (len(block), J.shape[1]))
+        Z = block[:, None] + offsets[J]
+        if fw is not None:
+            pair = dict(zip((1, -1), _essential_error_pair(fw, Z.ravel())))
+        else:
+            pair = {y: mix.expected_errors(Z.reshape(-1, 1), y) for y in labels}
+        vals = {y: pair[y].reshape(Z.shape) - pens[J] for y in labels}
+        yield slice(i, i + len(block)), Z, abs_off[J], vals
 
 
 def oracle_values_1d(model, xs: np.ndarray, label: int, cfg: GameConfig,
@@ -745,32 +786,18 @@ def oracle_values_1d(model, xs: np.ndarray, label: int, cfg: GameConfig,
 
 def oracle_value_profiles(model, xs: np.ndarray, cfg: GameConfig,
                           grid_n: int = 4097) -> dict[int, np.ndarray]:
-    """sup_z [err(z, y) - lam*pen(x, z)] for both labels at once."""
+    """sup_z [err(z, y) - lam*pen(x, z)] for both labels at once.
+
+    The supremum is the maximum over the grid_n-point ball grid around each
+    x; grid points that cannot hold it are skipped (see _ball_grid_values),
+    which leaves every value bit-identical to the full grid search.
+    """
     if grid_n % 2 == 0:
         raise InvalidInput("grid_n must be odd so the grid includes the origin")
-    offsets = np.linspace(-cfg.epsilon, cfg.epsilon, grid_n)
-    pens = cfg.lam * (np.abs(offsets) > 0) if cfg.penalty == "mass" else (
-        cfg.lam * np.abs(offsets) if cfg.penalty == "norm" else np.zeros_like(offsets)
-    )
-    mix = as_mixture(model)
-    fw = None
-    try:
-        fw = _forms_weights(mix)
-    except UnsupportedKind:
-        pass
     out = {1: np.empty(xs.shape[0]), -1: np.empty(xs.shape[0])}
-    chunk = max(1, int(4e6 // grid_n))
-    for i in range(0, len(xs), chunk):
-        block = xs[i:i + chunk]
-        Z = block[:, None] + offsets[None, :]
-        if fw is not None:
-            err_pos, err_neg = _essential_error_pair(fw, Z.ravel())
-        else:
-            err_pos = mix.expected_errors(Z.reshape(-1, 1), 1)
-            err_neg = mix.expected_errors(Z.reshape(-1, 1), -1)
-        for label, errs in ((1, err_pos), (-1, err_neg)):
-            vals = errs.reshape(Z.shape) - pens[None, :]
-            out[label][i:i + chunk] = vals.max(axis=1)
+    for rows, _, _, vals in _ball_grid_values(model, xs, cfg, grid_n, (1, -1)):
+        for label in (1, -1):
+            out[label][rows] = vals[label].max(axis=1)
     return out
 
 
@@ -779,28 +806,16 @@ def oracle_attack_points_1d(model, xs: np.ndarray, y: int, cfg: GameConfig,
     """Vectorized 1-D oracle: grid argmax of err - lam*pen for every x.
 
     Tie-break: smallest |offset| first (the offsets grid is symmetric and
-    ascending, so the first minimizer is also the smallest z).
+    ascending, so the first minimizer is also the smallest z). Only the grid
+    points that can hold the maximum are evaluated (see _ball_grid_values);
+    the tie-broken maximizer of the full grid is always among them.
     """
     xs = np.asarray(xs, dtype=float).ravel()
-    offsets = np.linspace(-cfg.epsilon, cfg.epsilon, grid_n)
-    if cfg.penalty == "mass":
-        pens = cfg.lam * (np.abs(offsets) > 0)
-    elif cfg.penalty == "norm":
-        pens = cfg.lam * np.abs(offsets)
-    else:
-        pens = np.zeros_like(offsets)
-    mix = as_mixture(model)
     out = np.empty(xs.shape[0])
-    chunk = max(1, int(4e6 // grid_n))
-    abs_off = np.abs(offsets)
-    for i in range(0, len(xs), chunk):
-        block = xs[i:i + chunk]
-        Z = block[:, None] + offsets[None, :]
-        errs = _essential_expected_errors(mix, Z.ravel(), y).reshape(Z.shape)
-        vals = errs - pens[None, :]
-        best = vals.max(axis=1, keepdims=True)
-        pick = np.where(vals == best, abs_off[None, :], np.inf).argmin(axis=1)
-        out[i:i + chunk] = Z[np.arange(len(block)), pick]
+    for rows, Z, abs_off, vals in _ball_grid_values(model, xs, cfg, grid_n, (y,)):
+        best = vals[y].max(axis=1, keepdims=True)
+        pick = np.where(vals[y] == best, abs_off, np.inf).argmin(axis=1)
+        out[rows] = Z[np.arange(Z.shape[0]), pick]
     return out.reshape(-1, 1)
 
 

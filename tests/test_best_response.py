@@ -13,11 +13,13 @@ from advgame.game import (
     best_response_attack,
     best_response_defender,
     discretized_score,
+    oracle_attack_points_1d,
+    oracle_value_profiles,
     oracle_values_1d,
     pointwise_attack_oracle,
     transported_measure,
 )
-from advgame.hypotheses import Binned2D, interval_form
+from advgame.hypotheses import Binned2D, Interval1D, MixedClassifier, Mlp, interval_form
 from advgame import nets
 
 
@@ -146,6 +148,84 @@ def test_oracle_2d_ball_and_dimension_guard(cfg_mass):
 
     with pytest.raises(UnsupportedDimension):
         pointwise_attack_oracle(h, np.array([0.5, 0.5, 0.5]), 1, cfg_mass)
+
+
+def _dense_oracle(forms, weights, xs, y, cfg, grid_n):
+    """Full ball-grid search: (max value, tie-broken argmax point) per x."""
+    offsets = np.linspace(-cfg.epsilon, cfg.epsilon, grid_n)
+    Z = xs[:, None] + offsets[None, :]
+    left = np.zeros(Z.shape)
+    right = np.zeros(Z.shape)
+    for q, f in zip(weights, forms):
+        breaks, signs = np.asarray(f.breaks), np.asarray(f.signs)
+        below = (breaks[None, None, :] < Z[:, :, None]).sum(axis=2)
+        upto = (breaks[None, None, :] <= Z[:, :, None]).sum(axis=2)
+        left += q * (signs[below] != y)
+        right += q * (signs[upto] != y)
+    err = np.maximum(left, right)  # one-sided limits at breaks
+    if cfg.penalty == "mass":
+        pen = cfg.lam * (np.abs(offsets) > 0)
+    elif cfg.penalty == "norm":
+        pen = cfg.lam * np.abs(offsets)
+    else:
+        pen = np.zeros(grid_n)
+    vals = err - pen[None, :]
+    best = vals.max(axis=1)
+    points = np.empty(len(xs))
+    for i in range(len(xs)):
+        top = np.flatnonzero(vals[i] == best[i])
+        nearest = top[np.abs(offsets[top]) == np.abs(offsets[top]).min()]
+        points[i] = Z[i, nearest].min()
+    return best, points, np.isin(Z, np.concatenate([f.breaks for f in forms])).any()
+
+
+def _random_form(rng):
+    breaks = np.unique(rng.integers(-48, 49, rng.integers(1, 5)) / 32.0)
+    first = int(rng.choice([-1, 1]))
+    return Interval1D(tuple(map(float, breaks)),
+                      tuple(first * (-1) ** i for i in range(len(breaks) + 1)))
+
+
+@pytest.mark.parametrize("grid_n", [33, 257, 1025])
+@pytest.mark.parametrize("penalty", ["mass", "norm", "none"])
+def test_pruned_oracle_matches_dense_grid(penalty, grid_n):
+    # dyadic breaks, weights, budgets and xs: some grid points land exactly on
+    # breaks, and the full grid is evaluated without rounding ambiguity
+    rng = np.random.default_rng(grid_n + len(penalty))
+    hits = 0
+    for case in range(12):
+        cfg = GameConfig(penalty, float(rng.choice([0.3, 0.45, 0.7])),
+                         float(rng.choice([0.25, 0.5])))
+        step = 2 * cfg.epsilon / (grid_n - 1)
+        xs = np.concatenate([rng.uniform(-2, 2, 24),
+                             rng.integers(-2 * 64, 2 * 64, 24) / 64.0,
+                             rng.integers(-int(2 / step), int(2 / step), 16) * step])
+        if case % 2:
+            forms, weights = [_random_form(rng), _random_form(rng)], [0.625, 0.375]
+            model = MixedClassifier(tuple(forms), tuple(weights))
+        else:
+            forms, weights = [_random_form(rng)], [1.0]
+            model = forms[0]
+        profiles = oracle_value_profiles(model, xs, cfg, grid_n)
+        for y in (1, -1):
+            best, points, hit = _dense_oracle(forms, weights, xs, y, cfg, grid_n)
+            hits += hit
+            assert np.array_equal(profiles[y], best)
+            assert np.array_equal(oracle_attack_points_1d(model, xs, y, cfg, grid_n)[:, 0],
+                                  points)
+    assert hits > 0
+
+
+def test_oracle_without_interval_form_searches_full_grid():
+    h = Mlp(nets.init_mlp((1, 6, 1), seed=3))
+    cfg = GameConfig("norm", 0.3, 0.5)
+    xs = np.linspace(-1.0, 1.0, 17)
+    offsets = np.linspace(-0.5, 0.5, 65)
+    Z = xs[:, None] + offsets[None, :]
+    for y in (1, -1):
+        errs = h.predicts(Z.reshape(-1, 1)).reshape(Z.shape) != y
+        vals = errs - cfg.lam * np.abs(offsets)[None, :]
+        assert np.array_equal(oracle_value_profiles(h, xs, cfg, 65)[y], vals.max(axis=1))
 
 
 # ---------------------------------------------------------------------------

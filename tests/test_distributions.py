@@ -281,6 +281,25 @@ def test_density_nonnegative_and_normalized(mean, var, prior):
 # Serialization
 # ---------------------------------------------------------------------------
 
+def test_bayes_roots_find_island_narrower_than_scan():
+    # a 2e-4-weight N(-3, 1e-6) spike lifts the positive class above the
+    # negative one on an island far narrower than the 4097-point scan spacing
+    spec = ag.DistributionSpec(
+        0.5, 1,
+        (ag.GaussianComponent(1 - 2e-4, (1.0,), (1.0,)),
+         ag.GaussianComponent(2e-4, (-3.0,), (1e-6,))),
+        (ag.GaussianComponent(1.0, (-1.0,), (1.0,)),),
+    )
+    roots = dist.bayes_roots(spec)
+    assert len(roots) == 3
+    left, right, mid = roots
+    assert -3.01 < left < -3.0 < right < -2.99
+    assert abs(mid) < 1e-3
+    f = lambda x: float(0.5 * (dist.density(spec, 1, np.array([[x]]))
+                               - dist.density(spec, -1, np.array([[x]])))[0])
+    assert f(-3.0) > 0 and f(left - 1e-4) < 0 and f(right + 1e-4) < 0
+
+
 def test_spec_json_roundtrip(spec_1d_mix):
     text = dist.spec_to_json(spec_1d_mix)
     back = dist.spec_from_json(text)

@@ -51,6 +51,22 @@ def test_dynamics_asymmetric_spec(spec_1d_mix):
     assert rep.passed
 
 
+def test_dynamics_skip_zero_mass_atoms():
+    # far above both negative components the negative zone mass rounds to 0.0;
+    # the resulting zero-mass atom has nothing to classify and must not be
+    # checked against its cell
+    def comp(w, m):
+        return ag.GaussianComponent(w, (m,), (0.273,))
+
+    spec = ag.DistributionSpec(
+        0.5, 1,
+        (comp(0.386, 1.650), comp(0.345, 0.677), comp(0.269, 1.266)),
+        (comp(0.539, -2.909), comp(0.461, -2.732)),
+    )
+    rep = verify_no_pure_nash(spec, GameConfig("mass", 0.3, 0.4), rounds=8)
+    assert rep.passed and len(rep.rounds) == 8
+
+
 # ---------------------------------------------------------------------------
 # Randomization gap
 # ---------------------------------------------------------------------------
