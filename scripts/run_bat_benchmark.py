@@ -8,6 +8,7 @@ compare exact expected accuracies under adaptive PGD on held-out test data.
 
 import argparse
 import csv
+import os
 import statistics
 
 from advgame.experiments import bat_vs_at_benchmark
@@ -20,6 +21,7 @@ def main():
                         help="first-classifier candidates for best-AUA selection")
     parser.add_argument("--out", default="out/bat_benchmark.csv")
     args = parser.parse_args()
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
 
     rows = bat_vs_at_benchmark(seeds=tuple(args.seeds),
                                first_candidates=args.candidates)

@@ -133,33 +133,42 @@ def eot_logits(m: MixedClassifier, x) -> np.ndarray:
     return model_logits(m, np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
 
-def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
-    """Per-sample CE loss and its input gradient.
+def _eot_objective(model, X: np.ndarray, Y, mode: str, loss):
+    """Per-sample objective of the logit pairs and its input gradient.
 
-    mode "eot_logits": loss of the expected logits (the default adaptive
-    gradient); mode "eot_loss": expectation of the per-component losses.
-    Both coincide for deterministic models.
+    loss(pair, Y) returns the per-sample value and its derivative with respect
+    to the logit pair. Mode "eot_logits" applies it to the expected logits;
+    mode "eot_loss" takes the expectation of the per-component values. Both
+    coincide for deterministic models.
     """
     mix = _require_differentiable(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
     if mode == "eot_logits":
-        pair = model_logits(mix, X)
-        loss, dpair = nets.ce_loss(pair, Y)
-        grad = np.zeros_like(X)
+        value, dpair = loss(model_logits(mix, X), Y)
+        dpairs = [dpair] * len(mix)
+    elif mode == "eot_loss":
+        value = np.zeros(X.shape[0])
+        dpairs = []
         for q, h in zip(mix.weights, mix.hypotheses):
-            grad += q * _component_logit_vjp(h, X, dpair)
-        return loss, grad
-    if mode == "eot_loss":
-        loss = np.zeros(X.shape[0])
-        grad = np.zeros_like(X)
-        for q, h in zip(mix.weights, mix.hypotheses):
-            pair = _component_logits(h, X)
-            li, dpair = nets.ce_loss(pair, Y)
-            loss += q * li
-            grad += q * _component_logit_vjp(h, X, dpair)
-        return loss, grad
-    raise ConfigError(f"unknown EOT mode {mode!r}")
+            v, dpair = loss(_component_logits(h, X), Y)
+            value += q * v
+            dpairs.append(dpair)
+    else:
+        raise ConfigError(f"unknown EOT mode {mode!r}")
+    grad = np.zeros_like(X)
+    for q, h, dpair in zip(mix.weights, mix.hypotheses, dpairs):
+        grad += q * _component_logit_vjp(h, X, dpair)
+    return value, grad
+
+
+def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
+    """Per-sample CE loss and its input gradient.
+
+    mode "eot_logits": loss of the expected logits (the default adaptive
+    gradient); mode "eot_loss": expectation of the per-component losses.
+    """
+    return _eot_objective(model, X, Y, mode, nets.ce_loss)
 
 
 def expected_errors(model, X, Y) -> np.ndarray:
@@ -185,7 +194,9 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
                    box=(0.0, 1.0), mode: str = "eot_logits"):
     """Best-of-restarts signed-gradient ascent, projected to the ball each step.
 
-    Returns (adversarial points, per-sample best losses).
+    Each restart contributes only its final iterate, so a row's result can
+    differ from :func:`pgd_linf` on the same point, which keeps the best of all
+    iterates. Returns (adversarial points, per-sample best losses).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
@@ -213,7 +224,9 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
 
 def pgd_linf(model, x, y: int, cfg: PgdConfig, box=(0.0, 1.0),
              mode: str = "eot_logits") -> AttackResult:
-    """Single-sample PGD; the loss trace is the running best over all iterates."""
+    """Single-sample PGD that keeps the best of all iterates, not only each
+    restart's final one as :func:`pgd_linf_batch` does, so the two can differ
+    on the same point. The loss trace is the running best over all iterates."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     X = x.reshape(1, -1)
     eps = cfg.epsilon_inf
@@ -250,38 +263,15 @@ def pgd_linf(model, x, y: int, cfg: PgdConfig, box=(0.0, 1.0),
 # C&W (l2) with tanh change of variable and binary search on the constant
 # ---------------------------------------------------------------------------
 
-def _cw_cost_and_grad(model, X: np.ndarray, Y: np.ndarray, mode: str):
-    """Carlini-Wagner margin cost max(z_true - z_other, 0) and its input grad."""
-    mix = _require_differentiable(model)
-    if mode == "eot_logits":
-        pair = model_logits(mix, X)
-        idx_true = (Y == 1).astype(int)
-        z_true = pair[np.arange(len(Y)), idx_true]
-        z_other = pair[np.arange(len(Y)), 1 - idx_true]
-        margin = z_true - z_other
-        active = margin > 0
-        cost = np.maximum(margin, 0.0)
-        sgn = np.where(Y == 1, 1.0, -1.0) * active  # d margin / d (z_pos - z_neg)
-        dpair = np.column_stack([-sgn, sgn])
-        grad = np.zeros_like(X)
-        for q, h in zip(mix.weights, mix.hypotheses):
-            grad += q * _component_logit_vjp(h, X, dpair)
-        return cost, grad
-    if mode == "eot_loss":
-        cost = np.zeros(X.shape[0])
-        grad = np.zeros_like(X)
-        for q, h in zip(mix.weights, mix.hypotheses):
-            pair = _component_logits(h, X)
-            idx_true = (Y == 1).astype(int)
-            z_true = pair[np.arange(len(Y)), idx_true]
-            z_other = pair[np.arange(len(Y)), 1 - idx_true]
-            margin = z_true - z_other
-            active = margin > 0
-            cost += q * np.maximum(margin, 0.0)
-            sgn = np.where(Y == 1, 1.0, -1.0) * active
-            grad += q * _component_logit_vjp(h, X, np.column_stack([-sgn, sgn]))
-        return cost, grad
-    raise ConfigError(f"unknown EOT mode {mode!r}")
+def _cw_hinge(pair: np.ndarray, Y: np.ndarray):
+    """Carlini-Wagner margin cost max(z_true - z_other, 0) and its d/d pair."""
+    idx_true = (Y == 1).astype(int)
+    z_true = pair[np.arange(len(Y)), idx_true]
+    z_other = pair[np.arange(len(Y)), 1 - idx_true]
+    margin = z_true - z_other
+    active = margin > 0
+    sgn = np.where(Y == 1, 1.0, -1.0) * active  # d margin / d (z_pos - z_neg)
+    return np.maximum(margin, 0.0), np.column_stack([-sgn, sgn])
 
 
 def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
@@ -316,7 +306,7 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
             x_new = mid + scale * np.tanh(w)
             tau = x_new - X
             l2sq = (tau ** 2).sum(axis=1)
-            cost, dcost = _cw_cost_and_grad(model, x_new, Y, mode)
+            cost, dcost = _eot_objective(model, x_new, Y, mode, _cw_hinge)
             total = l2sq + const * cost
             miss = expected_errors(model, x_new, Y) > 0.5
             l2 = np.sqrt(l2sq)
@@ -356,18 +346,25 @@ def cw_l2(model, x, y: int, cfg: CwConfig, box=(0.0, 1.0),
     )
 
 
+def _take_eot_loss(model, Y, adv_logits, adv_loss, l2_logits, l2_loss) -> np.ndarray:
+    """The adaptive-C&W tie rule, per row: keep the eot_loss point only if its
+    exact expected error is strictly larger, or equal with a strictly shorter
+    l2 norm; otherwise keep the eot_logits point."""
+    err_logits = expected_errors(model, adv_logits, Y)
+    err_loss = expected_errors(model, adv_loss, Y)
+    return (err_loss > err_logits) | ((err_loss == err_logits) & (l2_loss < l2_logits))
+
+
 def adaptive_cw(m: MixedClassifier, x, y: int, cfg: CwConfig,
                 box=(0.0, 1.0)) -> AttackResult:
     """Run C&W through expected logits and through expected loss; keep the
-    candidate with the larger exact expected error (smaller norm on ties)."""
+    candidate with the larger exact expected error, then the shorter l2 norm,
+    and the expected-logits one on a full tie."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    results = [cw_l2(m, x, y, cfg, box, mode) for mode in ("eot_logits", "eot_loss")]
-    errs = [float(expected_errors(m, r.x_adv.reshape(1, -1), y)[0]) for r in results]
-    if errs[0] == errs[1]:
-        pick = 0 if results[0].norm_l2 <= results[1].norm_l2 else 1
-    else:
-        pick = int(np.argmax(errs))
-    return results[pick]
+    a, b = (cw_l2(m, x, y, cfg, box, mode) for mode in ("eot_logits", "eot_loss"))
+    take_b = _take_eot_loss(m, y, a.x_adv.reshape(1, -1), b.x_adv.reshape(1, -1),
+                            a.norm_l2, b.norm_l2)
+    return b if take_b[0] else a
 
 
 def reject_threshold(natural, adversarial, epsilon2: float):
@@ -396,29 +393,20 @@ def accuracy_under_pgd(model, X, Y, cfg: PgdConfig, box=(0.0, 1.0),
 
 
 def accuracy_under_cw(model, X, Y, cfg: CwConfig, box=(0.0, 1.0),
-                      reject_eps=CW_REJECT_THRESHOLDS,
-                      adaptive: bool | None = None) -> dict[float, float]:
+                      reject_eps=CW_REJECT_THRESHOLDS) -> dict[float, float]:
     """Accuracy after C&W with the hard-constraint filter, per threshold.
 
-    For mixtures (adaptive defaults on) both EOT variants run and the stronger
-    perturbation per sample is kept before the rejection filter.
+    For mixtures both EOT variants run and the stronger perturbation per
+    sample is kept, as in :func:`adaptive_cw`, before the rejection filter.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
-    mix = as_mixture(model)
-    if adaptive is None:
-        adaptive = len(mix) > 1
-    adv_a, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_logits")
-    if adaptive:
+    adv, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_logits")
+    if len(as_mixture(model)) > 1:
         adv_b, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_loss")
-        err_a = expected_errors(model, adv_a, Y)
-        err_b = expected_errors(model, adv_b, Y)
-        l2_a = np.linalg.norm(adv_a - X, axis=1)
-        l2_b = np.linalg.norm(adv_b - X, axis=1)
-        take_b = (err_b > err_a) | ((err_b == err_a) & (l2_b < l2_a))
-        adv = np.where(take_b[:, None], adv_b, adv_a)
-    else:
-        adv = adv_a
+        take_b = _take_eot_loss(model, Y, adv, adv_b, np.linalg.norm(adv - X, axis=1),
+                                np.linalg.norm(adv_b - X, axis=1))
+        adv = np.where(take_b[:, None], adv_b, adv)
     norms = np.linalg.norm(adv - X, axis=1)
     out = {}
     for eps2 in np.atleast_1d(np.asarray(reject_eps, dtype=float)):

@@ -153,39 +153,6 @@ class IntervalRegion(Region):
         return (pts[:, 0] >= self.lo) & (pts[:, 0] <= self.hi)
 
 
-@dataclass(frozen=True)
-class HalfspaceRegion(Region):
-    """w . x + b >= 0."""
-
-    w: tuple[float, ...]
-    b: float
-
-    def contains_many(self, X) -> np.ndarray:
-        pts, _ = _as_points(X, len(self.w))
-        return pts @ np.asarray(self.w) + self.b >= 0
-
-
-@dataclass(frozen=True, eq=False)
-class SampleHullRegion(Region):
-    """Convex hull of a finite point set (d <= 2)."""
-
-    points: np.ndarray
-
-    def contains_many(self, X) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        d = pts.shape[1]
-        if d > 2:
-            raise UnsupportedDimension("sample-hull membership needs d <= 2")
-        qs, _ = _as_points(X, d)
-        if d == 1:
-            lo, hi = pts[:, 0].min(), pts[:, 0].max()
-            return (qs[:, 0] >= lo) & (qs[:, 0] <= hi)
-        from scipy.spatial import Delaunay
-
-        tri = Delaunay(pts)
-        return tri.find_simplex(qs) >= 0
-
-
 @dataclass(frozen=True, eq=False)
 class BandRegion(Region):
     """The delta-attackable band P_h(delta) (side=+1) or N_h(delta) (side=-1).
@@ -510,12 +477,6 @@ class MixedClassifier:
             out[h.predict(x)] += q
         return out
 
-    def sample(self, x, seed: int, index: int = 0) -> int:
-        """Draw a component by q and return its prediction; pure in (seed, index)."""
-        rng = np.random.default_rng((int(seed), int(index)))
-        i = int(rng.choice(len(self.weights), p=np.asarray(self.weights)))
-        return self.hypotheses[i].predict(x)
-
     def expected_errors(self, X, Y) -> np.ndarray:
         """E over the mixture of 1{prediction != y}, exactly from the weights."""
         pts, _ = _as_points(X, self.dimension)
@@ -624,10 +585,6 @@ def region_to_dict(r: Region) -> dict:
             "side": r.side,
             "norm_kind": r.norm_kind,
         }
-    if isinstance(r, HalfspaceRegion):
-        return {"kind": "halfspace", "w": list(r.w), "b": r.b}
-    if isinstance(r, SampleHullRegion):
-        return {"kind": "hull", "points": np.asarray(r.points).tolist()}
     raise UnsupportedKind(f"cannot serialize region {type(r).__name__}")
 
 
@@ -638,10 +595,6 @@ def region_from_dict(d: dict) -> Region:
     if kind == "band":
         return BandRegion(hypothesis_from_dict(d["h"]), float(d["delta"]),
                           int(d["side"]), d.get("norm_kind", "l2"))
-    if kind == "halfspace":
-        return HalfspaceRegion(tuple(float(v) for v in d["w"]), float(d["b"]))
-    if kind == "hull":
-        return SampleHullRegion(np.array(d["points"], dtype=float))
     raise UnsupportedKind(f"unknown region kind {kind!r}")
 
 

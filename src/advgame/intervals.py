@@ -28,8 +28,6 @@ def normalize(ivs: list[Iv]) -> list[Iv]:
     return out
 
 
-def union(a: list[Iv], b: list[Iv]) -> list[Iv]:
-    return normalize(list(a) + list(b))
 
 
 def intersect(a: list[Iv], b: list[Iv]) -> list[Iv]:
@@ -56,8 +54,6 @@ def complement(a: list[Iv]) -> list[Iv]:
     return out
 
 
-def difference(a: list[Iv], b: list[Iv]) -> list[Iv]:
-    return intersect(a, complement(b))
 
 
 def dilate(a: list[Iv], r: float) -> list[Iv]:
@@ -67,8 +63,6 @@ def dilate(a: list[Iv], r: float) -> list[Iv]:
     return normalize([(lo - r, hi + r) for lo, hi in a])
 
 
-def clip(a: list[Iv], lo: float, hi: float) -> list[Iv]:
-    return intersect(a, [(lo, hi)])
 
 
 def contains(a: list[Iv], x) -> np.ndarray:
@@ -102,7 +96,3 @@ def nearest_point(a: list[Iv], x) -> np.ndarray:
         best = np.where(take, cand, best)
         best_d = np.where(take, d, best_d)
     return best
-
-
-def total_length(a: list[Iv]) -> float:
-    return float(sum(hi - lo for lo, hi in normalize(a)))

@@ -95,24 +95,6 @@ def trace_to_csv(trace, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Spec-level ops: forward / backward on the net
-# ---------------------------------------------------------------------------
-
-def mlp_forward(model: nets.MlpModel, x):
-    """Decision values plus cached activations for the backward pass."""
-    out, pres, acts = nets.forward_cached(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    return out, (pres, acts)
-
-
-def mlp_backward(model: nets.MlpModel, x, y):
-    """Exact CE-loss gradients w.r.t. parameters and input."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    Y = np.broadcast_to(np.asarray(y, dtype=int), (X.shape[0],))
-    loss, param_grads, input_grad = nets.loss_and_grads(model, X, Y)
-    return loss, param_grads, input_grad
-
-
-# ---------------------------------------------------------------------------
 # SGD loops
 # ---------------------------------------------------------------------------
 

@@ -142,26 +142,49 @@ def test_eot_logits_two_linear_models_average():
         assert pair[1] - pair[0] == pytest.approx(2 * avg.decision_value(x), rel=1e-12)
 
 
-def test_eot_gradient_is_weighted_sum_and_matches_fd(mlp_model):
+EOT_OBJECTIVES = {
+    "ce": loss_and_input_grad,
+    "cw_hinge": lambda model, X, Y, mode: attacks._eot_objective(
+        model, X, Y, mode, attacks._cw_hinge),
+}
+
+
+@pytest.mark.parametrize("mode", ["eot_logits", "eot_loss"])
+@pytest.mark.parametrize("objective", sorted(EOT_OBJECTIVES))
+def test_eot_gradient_is_weighted_sum_and_matches_fd(mlp_model, objective, mode):
+    fn = EOT_OBJECTIVES[objective]
     other = Mlp(nets.init_mlp((2, 8, 2), seed=9))
     m = MixedClassifier((mlp_model, other), (0.6, 0.4))
-    X = np.array([[0.4, 0.55]])
-    y = np.array([1])
-    _, grad = loss_and_input_grad(m, X, y, "eot_logits")
-    # matches central finite differences of the expected-logit loss
+    # labels follow the mixture's margin, so the hinge is active on every row;
+    # on rows 0 and 2 one component disagrees and its hinge is flat
+    X = np.array([[0.4, 0.55], [0.7, 0.3], [-1.6, 1.0], [-0.2, 1.6]])
+    Y = np.array([1, 1, -1, -1])
     h = 1e-5
+    for comp in (mlp_model, other):
+        # central differences stay off the leaky-ReLU kinks and the hinge's kink
+        _, pres, _ = nets.forward_cached(comp.net, X)
+        assert min(np.abs(p).min() for p in pres) > 1e-2
+        pair = model_logits(comp, X)
+        assert np.abs(pair[:, 1] - pair[:, 0]).min() > 1e-2
+    pair = model_logits(m, X)
+    assert np.all(Y * (pair[:, 1] - pair[:, 0]) > 1e-2)
+    value, grad = fn(m, X, Y, mode)
+    assert np.all(value > 0) and np.all(np.abs(grad).max(axis=1) > 0)
     for j in range(2):
         xp, xm = X.copy(), X.copy()
-        xp[0, j] += h
-        xm[0, j] -= h
-        lp, _ = loss_and_input_grad(m, xp, y, "eot_logits")
-        lm, _ = loss_and_input_grad(m, xm, y, "eot_logits")
-        fd = (lp[0] - lm[0]) / (2 * h)
-        assert abs(fd - grad[0, j]) / max(abs(fd), 1e-12) < 1e-4
-    # and the expected-logit pair is the q-weighted sum of component pairs
-    pair = model_logits(m, X)
-    manual = 0.6 * model_logits(mlp_model, X) + 0.4 * model_logits(other, X)
-    assert np.allclose(pair, manual, atol=1e-12)
+        xp[:, j] += h
+        xm[:, j] -= h
+        fd = (fn(m, xp, Y, mode)[0] - fn(m, xm, Y, mode)[0]) / (2 * h)
+        assert np.all(np.abs(fd - grad[:, j]) / np.maximum(np.abs(fd), 1e-12) < 1e-4)
+    if mode == "eot_logits":
+        # the expected-logit pair is the q-weighted sum of component pairs
+        manual = 0.6 * model_logits(mlp_model, X) + 0.4 * model_logits(other, X)
+        assert np.allclose(pair, manual, atol=1e-12)
+    else:
+        # the expected objective and its gradient are q-weighted sums
+        (va, ga), (vb, gb) = fn(mlp_model, X, Y, mode), fn(other, X, Y, mode)
+        assert np.allclose(value, 0.6 * va + 0.4 * vb, atol=1e-12)
+        assert np.allclose(grad, 0.6 * ga + 0.4 * gb, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +244,18 @@ def test_adaptive_cw_takes_stronger_variant(mlp_model):
             errs.append(float(attacks.expected_errors(m, r.x_adv.reshape(1, -1), y)[0]))
         got = float(attacks.expected_errors(m, res.x_adv.reshape(1, -1), y)[0])
         assert got >= max(errs) - 1e-12
+
+
+def test_adaptive_tie_rule_prefers_expected_logits_unless_strictly_better():
+    h = ag.Linear((1.0, 0.0), -0.5)  # predicts +1 right of x0 = 0.5
+    x_miss, x_hit = np.array([0.4, 0.5]), np.array([0.6, 0.5])
+    adv_logits = np.array([x_miss, x_hit, x_miss, x_miss])
+    adv_loss = np.array([x_hit, x_miss, x_miss, x_miss])
+    l2_logits = np.array([0.1, 0.1, 0.2, 0.2])
+    l2_loss = np.array([0.1, 0.1, 0.1, 0.2])
+    take = attacks._take_eot_loss(h, np.ones(4, dtype=int), adv_logits, adv_loss,
+                                  l2_logits, l2_loss)
+    assert take.tolist() == [False, True, True, False]
 
 
 def test_adaptive_cw_near_oracle_on_toy(spec_2d):

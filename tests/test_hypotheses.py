@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +17,8 @@ from advgame.hypotheses import (
     make_interval1d,
     mixture_from_dict,
     mixture_to_dict,
+    region_from_dict,
+    region_to_dict,
 )
 
 
@@ -139,18 +139,6 @@ def test_attackable_region_monotone_in_delta():
     assert np.all(~inside_small | inside_large)
 
 
-def test_halfspace_and_hull_regions():
-    hs = ag.hypotheses.HalfspaceRegion((1.0, -1.0), 0.0)
-    assert hs.contains(np.array([2.0, 1.0]))
-    assert not hs.contains(np.array([0.0, 1.0]))
-    hull = ag.hypotheses.SampleHullRegion(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert hull.contains(np.array([0.2, 0.2]))
-    assert not hull.contains(np.array([0.8, 0.8]))
-    flipped = ag.RegionFlip(ag.Linear((1.0, 0.0), -0.1), hull)
-    assert flipped.predict(np.array([0.2, 0.2])) != ag.Linear((1.0, 0.0), -0.1).predict(np.array([0.2, 0.2]))
-
-
 def test_attackable_region_mlp_membership(spec_2d):
     # mlp kind has no closed geometry: membership via the ball search
     net = nets.init_mlp((2, 8, 2), seed=0)
@@ -230,24 +218,6 @@ def test_mixture_abstain_mass_at_boundary():
     assert out[0] == pytest.approx(0.5)  # h1 outputs 0 exactly at its boundary
 
 
-def test_mixture_sample_deterministic_and_degenerate():
-    m = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(1.0)), (1.0, 0.0))
-    assert m.sample(np.array([0.5]), seed=0, index=3) == 1
-    m2 = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(1.0)), (0.7, 0.3))
-    a = m2.sample(np.array([0.5]), seed=5, index=11)
-    b = m2.sample(np.array([0.5]), seed=5, index=11)
-    assert a == b
-
-
-def test_mixture_sample_frequency_matches_distribution():
-    m = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(1.0)), (0.7, 0.3))
-    x = np.array([0.5])
-    n = 10 ** 5
-    draws = np.array([m.sample(x, seed=7, index=i) for i in range(n)])
-    frac = (draws == 1).mean()
-    assert abs(frac - 0.7) < 5 / math.sqrt(n)
-
-
 def test_mixture_validation():
     with pytest.raises(InvalidInput):
         ag.MixedClassifier((ag.Threshold(0.0),), (0.9,))
@@ -283,6 +253,17 @@ def test_hypothesis_roundtrips(spec_1d):
         xs = np.linspace(-2, 2, 23)
         pts = xs.reshape(-1, 1) if back.dimension == 1 else np.column_stack([xs, xs])
         assert np.array_equal(back.predicts(pts), h.predicts(pts))
+
+
+def test_region_roundtrips_and_rejects_unknown_kinds():
+    h = ag.Threshold(0.2)
+    for region in (ag.IntervalRegion(-0.5, 0.5), ag.BandRegion(h, 0.3, 1)):
+        back = region_from_dict(region_to_dict(region))
+        xs = np.linspace(-2, 2, 41).reshape(-1, 1)
+        assert np.array_equal(back.contains_many(xs), region.contains_many(xs))
+    for kind in ("halfspace", "hull"):
+        with pytest.raises(UnsupportedKind, match="unknown region kind"):
+            region_from_dict({"kind": kind})
 
 
 def test_mlp_roundtrip_bitexact():

@@ -1,0 +1,34 @@
+import csv
+import importlib.util
+import os
+import sys
+
+from advgame.experiments import BatBenchmarkRow
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bat_benchmark_creates_missing_out_dir_before_seeds_run(tmp_path, monkeypatch):
+    script = load_script("run_bat_benchmark")
+    out = tmp_path / "missing" / "bat_benchmark.csv"
+
+    def fake_benchmark(seeds, first_candidates):
+        # the output directory exists before any seed's work is done
+        assert out.parent.is_dir()
+        return [BatBenchmarkRow(s, 0.9, 0.5, 0.9, 0.55, 0.1, (0.9, 0.1)) for s in seeds]
+
+    monkeypatch.setattr(script, "bat_vs_at_benchmark", fake_benchmark)
+    monkeypatch.setattr(sys, "argv", ["run_bat_benchmark.py", "--seeds", "3", "7",
+                                      "--out", str(out)])
+    script.main()
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0] == "seed"
+    assert [r[0] for r in rows[1:]] == ["3", "7"]

@@ -9,7 +9,7 @@ import advgame as ag
 from advgame import attacks, nets, training
 from advgame.errors import ConfigError, InvalidInput
 from advgame.hypotheses import MixedClassifier, Mlp
-from advgame.training import TrainConfig, bat_weights, mlp_backward, mlp_forward
+from advgame.training import TrainConfig, bat_weights
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def test_forward_zero_weights_gives_zero():
     net = nets.init_mlp((2, 8, 1), seed=0)
     for w in net.weights:
         w[...] = 0.0
-    out, _ = mlp_forward(net, np.array([0.3, -0.7]))
+    out = nets.forward(net, np.array([0.3, -0.7]))
     assert out[0, 0] == 0.0
 
 
@@ -111,13 +111,6 @@ def test_saturated_correct_prediction_has_tiny_gradient():
     assert float(loss[0]) < 1e-8
     assert np.linalg.norm(gin) < 1e-8
     assert all(np.linalg.norm(gw) < 1e-8 for gw, _ in grads)
-
-
-def test_mlp_backward_wrapper_shapes():
-    net = nets.init_mlp((2, 8, 2), seed=3)
-    loss, grads, gin = mlp_backward(net, np.array([0.1, 0.2]), 1)
-    assert gin.shape == (1, 2)
-    assert len(grads) == 2
 
 
 # ---------------------------------------------------------------------------
