@@ -62,7 +62,6 @@ from .attacks import (
     adaptive_cw,
     cw_l2,
     eot_logits,
-    pgd_linf,
     reject_threshold,
 )
 from .training import (

@@ -79,7 +79,6 @@ class AttackResult:
     norm_linf: float
     success: bool
     rejected: bool = False
-    loss_trace: tuple[float, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +193,8 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
                    box=(0.0, 1.0), mode: str = "eot_logits"):
     """Best-of-restarts signed-gradient ascent, projected to the ball each step.
 
-    Each restart contributes only its final iterate, so a row's result can
-    differ from :func:`pgd_linf` on the same point, which keeps the best of all
-    iterates. Returns (adversarial points, per-sample best losses).
+    Each restart contributes only its final iterate. Returns (adversarial
+    points, per-sample best losses).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
@@ -220,43 +218,6 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
         best_x[better] = x_adv[better]
         best_loss[better] = loss[better]
     return best_x, best_loss
-
-
-def pgd_linf(model, x, y: int, cfg: PgdConfig, box=(0.0, 1.0),
-             mode: str = "eot_logits") -> AttackResult:
-    """Single-sample PGD that keeps the best of all iterates, not only each
-    restart's final one as :func:`pgd_linf_batch` does, so the two can differ
-    on the same point. The loss trace is the running best over all iterates."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    X = x.reshape(1, -1)
-    eps = cfg.epsilon_inf
-    best_x = X.copy()
-    best_loss = -np.inf
-    trace = []
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, restart))
-        init = rng.uniform(-eps, eps, X.shape) if cfg.random_init else 0.0
-        x_adv = _clip_box(X + init, box)
-        for _ in range(cfg.iters):
-            loss, grad = loss_and_input_grad(model, x_adv, np.array([y]), mode)
-            if loss[0] > best_loss:
-                best_loss, best_x = float(loss[0]), x_adv.copy()
-            trace.append(best_loss)
-            x_adv = x_adv + cfg.step * np.sign(grad)
-            x_adv = np.clip(x_adv, X - eps, X + eps)
-            x_adv = _clip_box(x_adv, box)
-        loss, _ = loss_and_input_grad(model, x_adv, np.array([y]), mode)
-        if loss[0] > best_loss:
-            best_loss, best_x = float(loss[0]), x_adv.copy()
-        trace.append(best_loss)
-    adv = best_x[0]
-    return AttackResult(
-        x_adv=adv,
-        norm_l2=float(np.linalg.norm(adv - x)),
-        norm_linf=float(np.abs(adv - x).max()),
-        success=bool(expected_errors(model, adv.reshape(1, -1), y)[0] > 0.5),
-        loss_trace=tuple(trace),
-    )
 
 
 # ---------------------------------------------------------------------------

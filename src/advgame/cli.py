@@ -164,10 +164,11 @@ def _emit(out_dir: str, name: str, subcommand: str, resolved: dict,
         "passed": passed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    # serialize before opening, so a report that cannot be written leaves no file
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     return path
 
 

@@ -30,8 +30,8 @@ from .distributions import (
     GaussianComponent,
     density,
     interval_abs_moment,
-    interval_affine_moment,
     interval_mass,
+    pushforward_empirical,
     sample_labeled,
 )
 from .errors import (
@@ -274,15 +274,26 @@ class PointwiseAttack(AttackMap):
 # Transported measures (1-D exact layer)
 # ---------------------------------------------------------------------------
 
+_FULL_LINE = ((-math.inf, math.inf),)
+
+
 @dataclass(frozen=True)
 class Transported1D:
-    """phi_y # mu_y for both classes: surviving density support plus atoms."""
+    """phi_y # mu_y for both classes: mu_y on alive_y, shifted by shift_y, plus atoms.
+
+    alive_y is in the coordinates of mu_y: the density at x is mu_y(x - shift_y)
+    where x - shift_y lies in alive_y. Zone maps keep the shifts at 0.0 and move
+    their zones' mass to atoms; the penalty-free translation shifts the whole
+    line and has no atoms.
+    """
 
     spec: DistributionSpec
     alive_pos: tuple[iv.Iv, ...]
     alive_neg: tuple[iv.Iv, ...]
     atoms_pos: tuple[tuple[float, float], ...]  # (location, mass)
     atoms_neg: tuple[tuple[float, float], ...]
+    shift_pos: float = 0.0
+    shift_neg: float = 0.0
 
     def alive(self, label: int):
         return list(self.alive_pos if label == 1 else self.alive_neg)
@@ -290,13 +301,18 @@ class Transported1D:
     def atoms(self, label: int):
         return list(self.atoms_pos if label == 1 else self.atoms_neg)
 
+    def shift(self, label: int) -> float:
+        return self.shift_pos if label == 1 else self.shift_neg
+
 
 def transported_measure(attack: AttackMap, spec: DistributionSpec) -> Transported1D:
     if spec.dimension != 1:
         raise UnsupportedDimension("transported measures are exact only for d = 1")
-    full = ((-math.inf, math.inf),)
     if isinstance(attack, IdentityAttack):
-        return Transported1D(spec, full, full, (), ())
+        return Transported1D(spec, _FULL_LINE, _FULL_LINE, (), ())
+    if isinstance(attack, TranslateAttack1D):
+        return Transported1D(spec, _FULL_LINE, _FULL_LINE, (), (),
+                             attack.shift_pos, attack.shift_neg)
     if isinstance(attack, ZoneAttack1D):
         alive, atoms = {}, {}
         for label in (1, -1):
@@ -342,19 +358,26 @@ def _expected_point_error(model, x: float, label: int) -> float:
     return float(mix.expected_errors(np.array([[x]]), np.array([label]))[0])
 
 
-def _transported_error(model, tr: Transported1D, label: int) -> float:
-    """E under phi_label # mu_label of the (expected) error of the model."""
+def _pushforward_errors(model, tr: Transported1D) -> dict[int, float]:
+    """E under phi_y # mu_y of the model's expected error, for y = +1 and -1."""
     breaks, err_pos, err_neg = _error_profile(model)
-    errs = err_pos if label == 1 else err_neg
     edges = [-math.inf] + breaks + [math.inf]
-    total = 0.0
-    alive = tr.alive(label)
-    for e, lo, hi in zip(errs, edges[:-1], edges[1:]):
-        if e > 0.0:
-            total += e * interval_mass(tr.spec, label, iv.intersect(alive, [(lo, hi)]))
-    for loc, m in tr.atoms(label):
-        total += m * _expected_point_error(model, loc, label)
-    return total
+    out = {}
+    for label, errs in ((1, err_pos), (-1, err_neg)):
+        s, alive = tr.shift(label), tr.alive(label)
+        total = 0.0
+        for e, lo, hi in zip(errs, edges[:-1], edges[1:]):
+            if e > 0.0:
+                total += e * interval_mass(tr.spec, label,
+                                           iv.intersect(alive, [(lo - s, hi - s)]))
+        for loc, m in tr.atoms(label):
+            total += m * _expected_point_error(model, loc, label)
+        out[label] = total
+    return out
+
+
+def _natural_errors(model, spec: DistributionSpec) -> dict[int, float]:
+    return _pushforward_errors(model, Transported1D(spec, _FULL_LINE, _FULL_LINE, (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +422,7 @@ def penalty_value(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig) ->
     if cfg.penalty == "none":
         return 0.0
     if cfg.eval_method == "monte_carlo":
-        return _mc_evaluate(None, attack, spec, cfg)[1]
+        return float(_mc_evaluate(attack, spec, cfg)[2].mean())
     if isinstance(attack, IdentityAttack):
         return 0.0
     if isinstance(attack, TranslateAttack1D):
@@ -427,11 +450,7 @@ def adversarial_score(model, attack: AttackMap, spec: DistributionSpec,
     if cfg.eval_method == "monte_carlo":
         return _mc_score(model, attack, spec, cfg)
     nat = _natural_errors(model, spec)
-    if isinstance(attack, TranslateAttack1D):
-        att = {y: _translated_error(model, spec, y, attack) for y in (1, -1)}
-    else:
-        tr = transported_measure(attack, spec)
-        att = {y: _transported_error(model, tr, y) for y in (1, -1)}
+    att = _pushforward_errors(model, transported_measure(attack, spec))
     pen = penalty_value(attack, spec, cfg)
     risk_term = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
     zone_pos = spec.prior_pos * (att[1] - nat[1])
@@ -447,48 +466,25 @@ def adversarial_score(model, attack: AttackMap, spec: DistributionSpec,
     )
 
 
-def _natural_errors(model, spec: DistributionSpec) -> dict[int, float]:
-    full = Transported1D(spec, ((-math.inf, math.inf),), ((-math.inf, math.inf),), (), ())
-    return {y: _transported_error(model, full, y) for y in (1, -1)}
-
-
-def _translated_error(model, spec: DistributionSpec, label: int,
-                      attack: TranslateAttack1D) -> float:
-    shift = attack.shift_pos if label == 1 else attack.shift_neg
-    breaks, err_pos, err_neg = _error_profile(model)
-    errs = err_pos if label == 1 else err_neg
-    edges = [-math.inf] + breaks + [math.inf]
-    total = 0.0
-    for e, lo, hi in zip(errs, edges[:-1], edges[1:]):
-        if e > 0.0:
-            total += e * interval_mass(spec, label, [(lo - shift, hi - shift)])
-    return total
-
-
-def _mc_evaluate(model, attack: AttackMap, spec: DistributionSpec, cfg: GameConfig):
+def _mc_evaluate(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig):
+    """Seeded sample, its attacked points and each point's penalty."""
     sample = sample_labeled(spec, cfg.mc_n, cfg.mc_seed)
-    moved = np.array(sample.points, copy=True)
-    for y in (1, -1):
-        mask = sample.labels == y
-        if mask.any():
-            moved[mask] = attack.apply(sample.points[mask], y)
-    check_budget(sample.points, moved, attack)
+    moved = pushforward_empirical(sample, attack).points
     if cfg.penalty == "mass":
         pens = (perturbation_norms(sample.points, moved, "l2") > 0).astype(float)
     elif cfg.penalty == "norm":
         pens = perturbation_norms(sample.points, moved, "l2")
     else:
         pens = np.zeros(len(sample))
-    errs = None
-    if model is not None:
-        errs = as_mixture(model).expected_errors(moved, sample.labels)
-    return (sample, float(pens.mean())) if errs is None else (sample, errs, pens)
+    return sample, moved, pens
 
 
 def _mc_score(model, attack: AttackMap, spec: DistributionSpec,
               cfg: GameConfig) -> ScoreReport:
-    sample, errs, pens = _mc_evaluate(model, attack, spec, cfg)
-    nat_errs = as_mixture(model).expected_errors(sample.points, sample.labels)
+    sample, moved, pens = _mc_evaluate(attack, spec, cfg)
+    mix = as_mixture(model)
+    errs = mix.expected_errors(moved, sample.labels)
+    nat_errs = mix.expected_errors(sample.points, sample.labels)
     vals = errs - cfg.lam * pens
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     risk_term = float(nat_errs.mean())
@@ -549,21 +545,32 @@ def best_response_attack(h: Hypothesis, spec: DistributionSpec,
     raise UnsupportedKind(f"no best-response attack for {type(h).__name__} in d > 2")
 
 
-def worst_case_score(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig) -> float:
-    """sup over admissible attacks of the regularized score (exact, 1-D forms)."""
+def _worst_case_zone(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig):
+    """Natural risk of h's interval form and its full-epsilon zone pieces.
+
+    Each piece (label, lo, hi, boundary) is a part of class label's attack
+    zone whose nearest boundary point of the opposite sign is boundary.
+    """
     form = interval_form(h)
     nat = _natural_errors(form, spec)
-    total = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
-    attack = ZoneAttack1D(form, cfg.epsilon, "norm", cfg.norm_kind)  # full-eps zones
-    for y in (1, -1):
-        for lo, hi, target in attack.pieces(y):
-            if cfg.penalty == "mass":
-                total += spec.prior(y) * (1 - cfg.lam) * interval_mass(spec, y, [(lo, hi)])
-            elif cfg.penalty == "norm":
-                total += spec.prior(y) * interval_affine_moment(spec, y, [(lo, hi)], 1.0, 0.0)
-                total -= spec.prior(y) * cfg.lam * interval_abs_moment(spec, y, [(lo, hi)], target)
-            else:
-                total += spec.prior(y) * interval_mass(spec, y, [(lo, hi)])
+    risk_term = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
+    attack = ZoneAttack1D(form, cfg.epsilon, "norm", cfg.norm_kind)
+    pieces = [(y, lo, hi, b) for y in (1, -1) for lo, hi, b in attack.pieces(y)]
+    return risk_term, pieces
+
+
+def worst_case_score(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig) -> float:
+    """sup over admissible attacks of the regularized score (exact, 1-D forms)."""
+    total, pieces = _worst_case_zone(h, spec, cfg)
+    for y, lo, hi, boundary in pieces:
+        m = interval_mass(spec, y, [(lo, hi)])
+        if cfg.penalty == "mass":
+            total += spec.prior(y) * (1 - cfg.lam) * m
+        else:
+            total += spec.prior(y) * m
+            if cfg.penalty == "norm":
+                total -= spec.prior(y) * cfg.lam * interval_abs_moment(
+                    spec, y, [(lo, hi)], boundary)
     return total
 
 
@@ -576,16 +583,12 @@ def score_decomposition(h: Hypothesis, spec: DistributionSpec,
     """
     if cfg.penalty != "norm":
         raise ConfigError("score_decomposition is defined for the norm penalty")
-    form = interval_form(h)
-    nat = _natural_errors(form, spec)
-    risk_term = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
-    attack = ZoneAttack1D(form, cfg.epsilon, "norm", cfg.norm_kind)
+    risk_term, pieces = _worst_case_zone(h, spec, cfg)
     zone = {1: 0.0, -1: 0.0}
     pen = {1: 0.0, -1: 0.0}
-    for y in (1, -1):
-        for lo, hi, target in attack.pieces(y):
-            zone[y] += spec.prior(y) * interval_mass(spec, y, [(lo, hi)])
-            pen[y] += spec.prior(y) * interval_abs_moment(spec, y, [(lo, hi)], target)
+    for y, lo, hi, boundary in pieces:
+        zone[y] += spec.prior(y) * interval_mass(spec, y, [(lo, hi)])
+        pen[y] += spec.prior(y) * interval_abs_moment(spec, y, [(lo, hi)], boundary)
     total_pen = pen[1] + pen[-1]
     return ScoreReport(
         score=risk_term + zone[1] + zone[-1] - cfg.lam * total_pen,
@@ -611,23 +614,25 @@ def best_response_defender(attack: AttackMap, spec: DistributionSpec,
         raise UnsupportedDimension("defender best response needs d <= 2")
     if isinstance(attack, IdentityAttack):
         return bayes_optimal(spec)
-    if isinstance(attack, TranslateAttack1D):
-        return bayes_optimal(_shifted_spec(spec, attack))
     tr = transported_measure(attack, spec)
+    if isinstance(attack, TranslateAttack1D):
+        return bayes_optimal(_shifted_spec(tr))
     return _transported_bayes(tr)
 
 
-def _shifted_spec(spec: DistributionSpec, attack: TranslateAttack1D) -> DistributionSpec:
-    def shift_comps(comps, s):
+def _shifted_spec(tr: Transported1D) -> DistributionSpec:
+    """The spec of a translated measure: every component mean moved by its shift."""
+    def shift_comps(label):
         return tuple(
-            GaussianComponent(c.weight, (c.mean[0] + s,), c.var) for c in comps
+            GaussianComponent(c.weight, (c.mean[0] + tr.shift(label),), c.var)
+            for c in tr.spec.components(label)
         )
 
     return DistributionSpec(
-        prior_pos=spec.prior_pos,
+        prior_pos=tr.spec.prior_pos,
         dimension=1,
-        components_pos=shift_comps(spec.components_pos, attack.shift_pos),
-        components_neg=shift_comps(spec.components_neg, attack.shift_neg),
+        components_pos=shift_comps(1),
+        components_neg=shift_comps(-1),
     )
 
 
@@ -679,17 +684,14 @@ def _binned_defender(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig,
     from .hypotheses import Binned2D
 
     sample = sample_labeled(spec, max(cfg.mc_n, 20000), cfg.mc_seed)
-    moved = np.array(sample.points, copy=True)
-    for y in (1, -1):
-        mask = sample.labels == y
-        if mask.any():
-            moved[mask] = attack.apply(sample.points[mask], y)
+    moved = pushforward_empirical(sample, attack).points
     lo, hi = spec.bounds(6.0)
     edges = [np.linspace(lo[i], hi[i], bins + 1) for i in range(2)]
     pos = np.histogram2d(*moved[sample.labels == 1].T, bins=edges)[0]
     neg = np.histogram2d(*moved[sample.labels == -1].T, bins=edges)[0]
-    signs = np.where(pos > neg, 1, -1)
-    return Binned2D((tuple(edges[0]), tuple(edges[1])), tuple(map(tuple, signs)))
+    signs = np.where(pos > neg, 1, -1).tolist()  # python ints, so reports serialize
+    return Binned2D((tuple(edges[0].tolist()), tuple(edges[1].tolist())),
+                    tuple(map(tuple, signs)))
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,6 @@ class Interval1D(Hypothesis):
             [(edges[i], edges[i + 1]) for i, s in enumerate(self.signs) if s == sign]
         )
 
-    def cell_errors(self, label: int) -> np.ndarray:
-        """Per-cell 0/1 error against the given true label."""
-        return np.array([1.0 if s != label else 0.0 for s in self.signs])
-
     def flipped(self, region_ivs: list[iv.Iv]) -> "Interval1D":
         """Sign structure with cells inside the region flipped."""
         edges = sorted(

@@ -381,20 +381,14 @@ def fig1_export(spec: DistributionSpec, cfg: GameConfig, out_dir,
 
     write("original", density(spec, -1, pts), density(spec, 1, pts))
 
-    none_attack = best_response_attack(h, spec, replace(cfg, penalty="none"))
-    write(
-        "none",
-        density(spec, -1, (xs - none_attack.shift_neg).reshape(-1, 1)),
-        density(spec, 1, (xs - none_attack.shift_pos).reshape(-1, 1)),
-    )
-
-    for kind in ("mass", "norm"):
+    for kind in ("none", "mass", "norm"):
         attack = best_response_attack(h, spec, replace(cfg, penalty=kind))
         tr = transported_measure(attack, spec)
         dens = {}
         for label in (1, -1):
-            alive = iv.contains(tr.alive(label), xs)
-            dens[label] = np.asarray(density(spec, label, pts)) * alive
+            src = xs - tr.shift(label)
+            alive = iv.contains(tr.alive(label), src)
+            dens[label] = np.asarray(density(spec, label, src.reshape(-1, 1))) * alive
             for loc, m in tr.atoms(label):
                 atoms_rows.append([kind, repr(float(loc)), label, repr(float(m))])
         write(kind, dens[-1], dens[1])

@@ -64,7 +64,7 @@ def test_paper_presets():
 def test_attacks_reject_non_differentiable(spec_1d):
     cfg = ag.PgdConfig(0.1, 0.02, 5)
     with pytest.raises(UnsupportedKind):
-        ag.pgd_linf(ag.bayes_optimal(spec_1d), np.array([0.3]), 1, cfg)
+        pgd_linf_batch(ag.bayes_optimal(spec_1d), np.array([[0.3]]), 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +86,9 @@ def test_pgd_fgsm_degenerate_case(linear_model):
     x = np.array([0.5, 0.5])
     y = int(_labels(linear_model, x.reshape(1, -1))[0])
     cfg = ag.PgdConfig(0.05, 0.05, 1, restarts=1, random_init=False)
-    res = ag.pgd_linf(linear_model, x, y, cfg)
+    adv, _ = pgd_linf_batch(linear_model, x.reshape(1, -1), y, cfg)
     closed = x - 0.05 * np.sign(np.asarray(linear_model.w)) * y
-    assert np.allclose(res.x_adv, closed)
+    assert np.allclose(adv[0], closed)
 
 
 def test_pgd_iterates_stay_in_ball(mlp_model):
@@ -101,11 +101,15 @@ def test_pgd_iterates_stay_in_ball(mlp_model):
     assert adv.min() >= 0.0 and adv.max() <= 1.0
 
 
-def test_pgd_loss_trace_nondecreasing(mlp_model):
-    cfg = ag.PgdConfig(0.08, 0.01, 20, restarts=3, seed=2)
-    res = ag.pgd_linf(mlp_model, np.array([0.4, 0.6]), 1, cfg)
-    trace = np.array(res.loss_trace)
-    assert np.all(np.diff(trace) >= 0)
+def test_pgd_more_restarts_never_lower_best_loss(mlp_model):
+    # restart r draws its start from (seed, r), so restarts=3 extends restarts=1
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.2, 0.8, (48, 2))
+    Y = np.where(rng.random(48) < 0.5, 1, -1)
+    one = pgd_linf_batch(mlp_model, X, Y, ag.PgdConfig(0.08, 0.01, 20, restarts=1, seed=2))[1]
+    three = pgd_linf_batch(mlp_model, X, Y, ag.PgdConfig(0.08, 0.01, 20, restarts=3, seed=2))[1]
+    assert np.all(three >= one)
+    assert np.any(three > one)
 
 
 def test_pgd_accuracy_nonincreasing_in_budget(mlp_model):

@@ -6,12 +6,14 @@ import advgame as ag
 from advgame.game import (
     GameConfig,
     IdentityAttack,
+    LinearAttack,
     OVERSHOOT,
     TranslateAttack1D,
     ZoneAttack1D,
     adversarial_score,
     best_response_attack,
     best_response_defender,
+    check_budget,
     discretized_score,
     oracle_attack_points_1d,
     oracle_value_profiles,
@@ -88,6 +90,34 @@ def test_linear_attack_any_dimension():
     assert np.linalg.norm(out - x) == pytest.approx(0.5, abs=1e-12)
     far = np.array([[0.6, 0.8]])
     assert np.array_equal(attack.apply(far, 1), far)
+
+
+@pytest.mark.parametrize("norm_kind", ["l2", "linf"])
+@pytest.mark.parametrize("penalty", ["mass", "norm", "none"])
+def test_linear_attack_zone_map(penalty, norm_kind):
+    h = ag.Linear((1.0, 0.5), -0.75)
+    budget = 0.2
+    attack = best_response_attack(h, None, GameConfig(penalty, 0.3, budget, norm_kind))
+    assert isinstance(attack, LinearAttack)
+    w = np.asarray(h.w)
+    dual = np.linalg.norm(w) if norm_kind == "l2" else np.abs(w).sum()
+    radius = budget - OVERSHOOT if penalty == "mass" else budget
+    X = np.random.default_rng(11).uniform(0.0, 1.0, (2000, 2))
+    g = h.decision_values(X)
+    for label in (1, -1):
+        out = attack.apply(X, label)
+        check_budget(X, out, attack)
+        g_out = h.decision_values(out)
+        if penalty == "none":
+            assert np.allclose(g_out, g - label * budget * dual, rtol=0.0, atol=1e-12)
+            continue
+        zone = (np.sign(g) == label) & (np.abs(g) / dual <= radius)
+        moved = np.any(out != X, axis=1)
+        assert zone.any() and not moved[~zone].any()
+        if penalty == "mass":
+            assert np.all(np.sign(g_out[zone]) == -label)
+        else:
+            assert np.all(np.abs(g_out[zone]) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +324,18 @@ def test_transported_measure_masses(spec_1d, cfg_norm):
     from advgame.distributions import interval_mass
     total = interval_mass(spec_1d, 1, tr.alive(1)) + sum(m for _, m in tr.atoms(1))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_transported_measure_of_translation(spec_1d):
+    attack = TranslateAttack1D(shift_pos=-0.3, shift_neg=0.2, budget=0.3)
+    tr = transported_measure(attack, spec_1d)
+    assert (tr.shift(1), tr.shift(-1)) == (-0.3, 0.2)
+    for label in (1, -1):
+        assert tr.alive(label) == [(-np.inf, np.inf)]
+        assert tr.atoms(label) == []
+    zone = transported_measure(best_response_attack(ag.Threshold(0.0), spec_1d,
+                                                    GameConfig("mass", 0.3, 0.5)), spec_1d)
+    assert (zone.shift(1), zone.shift(-1)) == (0.0, 0.0)
 
 
 def test_discretized_score_matches_between_paths(spec_1d, cfg_mass):

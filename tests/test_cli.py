@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from advgame import cli
+from advgame import cli, hypotheses
 
 
 def write_config(tmp_path, extra=None, name="cfg.json"):
@@ -102,6 +102,34 @@ def test_best_response_subcommand(tmp_path):
     assert rep["results"]["attack_kind"] == "closed_form"
     assert rep["results"]["defender"]["kind"] == "interval1d"
     assert rep["results"]["defender_score"]["score"] < rep["results"]["attacker_score"]["score"]
+
+
+def test_best_response_subcommand_2d_binned_defender(tmp_path):
+    cfg = write_config(tmp_path, {
+        "distribution": {
+            "prior_pos": 0.5,
+            "dimension": 2,
+            "components_pos": [{"weight": 1.0, "mean": [0.7, 0.7], "var": [0.02, 0.02]}],
+            "components_neg": [{"weight": 1.0, "mean": [0.3, 0.3], "var": [0.02, 0.02]}],
+        },
+        "game": {"penalty": "mass", "lambda": 0.3, "epsilon": 0.2,
+                 "eval": {"method": "monte_carlo", "n": 2000, "seed": 1}},
+        "hypothesis": {"kind": "linear", "w": [1.0, 0.5], "b": -0.75},
+    })
+    out = str(tmp_path / "br2d")
+    assert cli.main(["best-response", "--config", cfg, "--out", out]) == 0
+    rep = read_report(out, "best_response_report.json")
+    defender = rep["results"]["defender"]
+    assert defender["kind"] == "binned2d"
+    back = hypotheses.hypothesis_from_dict(defender)
+    assert isinstance(back, hypotheses.Binned2D)
+    assert hypotheses.hypothesis_to_dict(back) == defender
+
+
+def test_emit_leaves_no_file_for_unserializable_report(tmp_path):
+    with pytest.raises(TypeError):
+        cli._emit(str(tmp_path), "risk_report.json", "risk", {}, {"risk": object()}, True)
+    assert not os.path.exists(tmp_path / "risk_report.json")
 
 
 def _training_config(tmp_path, **extra):

@@ -113,6 +113,41 @@ def test_penalty_norm_matches_quadrature_oracle(spec_1d, cfg_norm):
 # adversarial score
 # ---------------------------------------------------------------------------
 
+def _threshold_errors(spec, t, orientation, shifts):
+    """Per-class error of Threshold(t, orientation) on mu_y shifted by shifts[y]."""
+    out = {}
+    for y in (1, -1):
+        below = sum(c.weight * norm.cdf(t - shifts[y], c.mean[0], math.sqrt(c.var[0]))
+                    for c in spec.components(y))
+        # the threshold predicts +1 above t for orientation 1, below t otherwise
+        out[y] = below if y == orientation else 1.0 - below
+    return out
+
+
+@pytest.mark.parametrize("spec_name", ["spec_1d", "spec_1d_mix"])
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("penalty", ["mass", "norm", "none"])
+def test_translate_score_matches_closed_form(spec_name, orientation, penalty, request):
+    from advgame.game import TranslateAttack1D
+
+    spec = request.getfixturevalue(spec_name)
+    t, shifts = 0.25, {1: -0.3, -1: 0.2}
+    h = ag.Threshold(t, orientation)
+    cfg = GameConfig(penalty, 0.3, 0.3)
+    attack = TranslateAttack1D(shift_pos=shifts[1], shift_neg=shifts[-1], budget=0.3)
+    rep = adversarial_score(h, attack, spec, cfg)
+    nat = _threshold_errors(spec, t, orientation, {1: 0.0, -1: 0.0})
+    att = _threshold_errors(spec, t, orientation, shifts)
+    pen = {"mass": 1.0, "norm": spec.prior(1) * 0.3 + spec.prior(-1) * 0.2, "none": 0.0}
+    assert rep.risk_term == pytest.approx(
+        spec.prior(1) * nat[1] + spec.prior(-1) * nat[-1], abs=1e-12)
+    assert rep.attack_zone_pos == pytest.approx(spec.prior(1) * (att[1] - nat[1]), abs=1e-12)
+    assert rep.attack_zone_neg == pytest.approx(spec.prior(-1) * (att[-1] - nat[-1]), abs=1e-12)
+    assert rep.penalty_value == pytest.approx(pen[penalty], abs=1e-12)
+    assert rep.score == pytest.approx(
+        spec.prior(1) * att[1] + spec.prior(-1) * att[-1] - 0.3 * pen[penalty], abs=1e-12)
+
+
 def test_score_identity_equals_risk(spec_1d_mix, cfg_mass):
     h = ag.Threshold(0.4)
     rep = adversarial_score(h, IdentityAttack(), spec_1d_mix, cfg_mass)
