@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nets
 from .errors import ConfigError, DimensionMismatch, UnsupportedKind
-from .hypotheses import Hypothesis, Linear, MixedClassifier, Mlp, as_mixture
+from .hypotheses import Hypothesis, Linear, MixedClassifier, Mlp, as_mixture, three_sign
 
 
 @dataclass(frozen=True)
@@ -95,36 +95,53 @@ def _require_differentiable(model) -> MixedClassifier:
     return mix
 
 
-def _component_logits(h: Hypothesis, X: np.ndarray) -> np.ndarray:
+def _component_logits(h: Hypothesis, X: np.ndarray):
+    """One forward pass: the logit pair and what its VJP needs (the net's
+    forward cache for an Mlp, nothing for a Linear)."""
     if isinstance(h, Linear):
         g = h.decision_values(X)
-        return np.column_stack([-g, g])
+        return np.column_stack([-g, g]), None
     if isinstance(h, Mlp):
-        return nets.logit_pair_from_output(nets.forward(h.net, X))
+        cache = nets.forward_cached(h.net, X)
+        return nets.logit_pair_from_output(cache[0]), cache
     raise UnsupportedKind(type(h).__name__)
 
 
-def _component_logit_vjp(h: Hypothesis, X: np.ndarray, dpair: np.ndarray) -> np.ndarray:
-    """Input gradient of sum(dpair * logit_pair(X))."""
+def _component_logit_vjp(h: Hypothesis, cache, dpair: np.ndarray) -> np.ndarray:
+    """Input gradient of sum(dpair * logit_pair(X)), from the forward's cache."""
     if isinstance(h, Linear):
         dg = dpair[:, 1] - dpair[:, 0]
         return dg[:, None] * np.asarray(h.w)[None, :]
     if isinstance(h, Mlp):
         out_dim = h.net.out_dim
         dout = dpair if out_dim == 2 else (dpair[:, 1] - dpair[:, 0]).reshape(-1, 1)
-        _, dX = nets.backward(h.net, X, dout, need_param_grads=False)
+        _, dX = nets.backward(h.net, cache, dout, need_param_grads=False)
         return dX
     raise UnsupportedKind(type(h).__name__)
+
+
+def _expected_pair(weights, pairs) -> np.ndarray:
+    out = np.zeros_like(pairs[0])
+    for q, pair in zip(weights, pairs):
+        out += q * pair
+    return out
+
+
+def _pair_errors(weights, pairs, Y) -> np.ndarray:
+    """Expected error from the per-component logit pairs, with the boundary
+    rule of ``MixedClassifier.expected_errors``: a zero margin errs on both
+    labels. A Linear pair's margin is 2g, so its sign is g's."""
+    out = np.zeros(len(Y))
+    for q, pair in zip(weights, pairs):
+        out += q * (three_sign(pair[:, 1] - pair[:, 0]) != Y)
+    return out
 
 
 def model_logits(model, X: np.ndarray) -> np.ndarray:
     """Exact expected logit pair of the model at each row of X."""
     mix = _require_differentiable(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.zeros((X.shape[0], 2))
-    for q, h in zip(mix.weights, mix.hypotheses):
-        out += q * _component_logits(h, X)
-    return out
+    return _expected_pair(mix.weights, [_component_logits(h, X)[0] for h in mix.hypotheses])
 
 
 def eot_logits(m: MixedClassifier, x) -> np.ndarray:
@@ -133,32 +150,35 @@ def eot_logits(m: MixedClassifier, x) -> np.ndarray:
 
 
 def _eot_objective(model, X: np.ndarray, Y, mode: str, loss):
-    """Per-sample objective of the logit pairs and its input gradient.
+    """Per-sample objective of the logit pairs, its input gradient, and the
+    per-component logit pairs it was computed from.
 
     loss(pair, Y) returns the per-sample value and its derivative with respect
     to the logit pair. Mode "eot_logits" applies it to the expected logits;
     mode "eot_loss" takes the expectation of the per-component values. Both
-    coincide for deterministic models.
+    coincide for deterministic models. Each component runs forward once; its
+    VJP reuses that pass.
     """
     mix = _require_differentiable(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
+    pairs, caches = zip(*(_component_logits(h, X) for h in mix.hypotheses))
     if mode == "eot_logits":
-        value, dpair = loss(model_logits(mix, X), Y)
+        value, dpair = loss(_expected_pair(mix.weights, pairs), Y)
         dpairs = [dpair] * len(mix)
     elif mode == "eot_loss":
         value = np.zeros(X.shape[0])
         dpairs = []
-        for q, h in zip(mix.weights, mix.hypotheses):
-            v, dpair = loss(_component_logits(h, X), Y)
+        for q, pair in zip(mix.weights, pairs):
+            v, dpair = loss(pair, Y)
             value += q * v
             dpairs.append(dpair)
     else:
         raise ConfigError(f"unknown EOT mode {mode!r}")
     grad = np.zeros_like(X)
-    for q, h, dpair in zip(mix.weights, mix.hypotheses, dpairs):
-        grad += q * _component_logit_vjp(h, X, dpair)
-    return value, grad
+    for q, h, cache, dpair in zip(mix.weights, mix.hypotheses, caches, dpairs):
+        grad += q * _component_logit_vjp(h, cache, dpair)
+    return value, grad, pairs
 
 
 def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
@@ -167,7 +187,8 @@ def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
     mode "eot_logits": loss of the expected logits (the default adaptive
     gradient); mode "eot_loss": expectation of the per-component losses.
     """
-    return _eot_objective(model, X, Y, mode, nets.ce_loss)
+    value, grad, _ = _eot_objective(model, X, Y, mode, nets.ce_loss)
+    return value, grad
 
 
 def expected_errors(model, X, Y) -> np.ndarray:
@@ -246,6 +267,7 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],)).copy()
     if box is None:
         raise ConfigError("cw_l2 needs a box domain for the tanh change of variable")
+    mix = _require_differentiable(model)
     lo, hi = float(box[0]), float(box[1])
     scale, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
     n = X.shape[0]
@@ -264,12 +286,13 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
         step_success = np.zeros(n, dtype=bool)
         prev = np.inf
         for it in range(1, cfg.iters + 1):
-            x_new = mid + scale * np.tanh(w)
+            tanh_w = np.tanh(w)
+            x_new = mid + scale * tanh_w
             tau = x_new - X
             l2sq = (tau ** 2).sum(axis=1)
-            cost, dcost = _eot_objective(model, x_new, Y, mode, _cw_hinge)
+            cost, dcost, pairs = _eot_objective(mix, x_new, Y, mode, _cw_hinge)
             total = l2sq + const * cost
-            miss = expected_errors(model, x_new, Y) > 0.5
+            miss = _pair_errors(mix.weights, pairs, Y) > 0.5
             l2 = np.sqrt(l2sq)
             improved = miss & (l2 < o_best_l2)
             o_best_l2[improved] = l2[improved]
@@ -277,7 +300,7 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
             o_success |= miss
             step_success |= miss
             dx = 2.0 * tau + const[:, None] * dcost
-            dw = dx * scale * (1.0 - np.tanh(w) ** 2)
+            dw = dx * scale * (1.0 - tanh_w ** 2)
             m_t = 0.9 * m_t + 0.1 * dw
             v_t = 0.999 * v_t + 0.001 * dw ** 2
             mhat = m_t / (1 - 0.9 ** it)

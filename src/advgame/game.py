@@ -449,6 +449,11 @@ def adversarial_score(model, attack: AttackMap, spec: DistributionSpec,
     """Regularized score of the model against a fixed attack."""
     if cfg.eval_method == "monte_carlo":
         return _mc_score(model, attack, spec, cfg)
+    if spec.dimension != 1:
+        raise ConfigError(
+            f"quadrature evaluation is exact only in 1-D, the distribution is "
+            f"{spec.dimension}-D; use \"eval\": {{\"method\": \"monte_carlo\"}}"
+        )
     nat = _natural_errors(model, spec)
     att = _pushforward_errors(model, transported_measure(attack, spec))
     pen = penalty_value(attack, spec, cfg)

@@ -3,7 +3,10 @@
 Forward, exact backprop (parameter and input gradients), and the binary
 softmax cross-entropy loss used by every gradient-based attack. The loss is
 computed from the logit margin z[+1] - z[-1], which makes it invariant to
-adding a constant to both logits by construction.
+adding a constant to both logits by construction. ``forward_cached`` returns
+the output together with the cache that ``backward`` consumes, so a gradient
+runs the net forward once: callers read their logits from that output and
+pass the same cache on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ class MlpModel:
     slope: float = LEAKY_SLOPE
 
     def __post_init__(self):
+        # max(a, slope * a) is the leaky rectifier only for slopes in [0, 1]
+        if not 0.0 <= self.slope <= 1.0:
+            raise InvalidInput(f"rectifier slope must lie in [0, 1], got {self.slope}")
         if self.out_dim not in (1, 2):
             raise InvalidInput("output dimension must be 1 (scalar g) or 2 (logit pair)")
 
@@ -60,14 +66,6 @@ def init_mlp(sizes, seed: int, slope: float = LEAKY_SLOPE) -> MlpModel:
     return MlpModel(weights, biases, slope)
 
 
-def _leaky(a: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(a > 0, a, slope * a)
-
-
-def _leaky_grad(a: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(a > 0, 1.0, slope)
-
-
 def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Raw network output, shape (n, out_dim)."""
     return forward_cached(model, X)[0]
@@ -85,7 +83,7 @@ def forward_cached(model: MlpModel, X: np.ndarray):
         a = h @ w + b
         if i < len(model.weights) - 1:
             pres.append(a)
-            h = _leaky(a, model.slope)
+            h = np.maximum(a, model.slope * a)
             acts.append(h)
         else:
             h = a
@@ -113,14 +111,16 @@ def ce_loss(logits: np.ndarray, y: np.ndarray):
     return loss, dlogits
 
 
-def backward(model: MlpModel, X: np.ndarray, dout: np.ndarray,
+def backward(model: MlpModel, cache, dout: np.ndarray,
              need_param_grads: bool = True):
     """Backpropagate dL/d(output) through the net.
 
-    Returns (param_grads, input_grad); param_grads is a list of (dW, db) pairs
-    summed over the batch, or None if not requested.
+    cache is the (output, preactivations, inputs) that ``forward_cached``
+    returned for the batch; the forward pass is not run again. Returns
+    (param_grads, input_grad); param_grads is a list of (dW, db) pairs summed
+    over the batch, or None if not requested.
     """
-    out, pres, acts = forward_cached(model, X)
+    out, pres, acts = cache
     if dout.shape != out.shape:
         raise InvalidInput(f"dout shape {dout.shape} != output shape {out.shape}")
     grads = [None] * len(model.weights) if need_param_grads else None
@@ -130,18 +130,18 @@ def backward(model: MlpModel, X: np.ndarray, dout: np.ndarray,
             grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
         delta = delta @ model.weights[i].T
         if i > 0:
-            delta = delta * _leaky_grad(pres[i - 1], model.slope)
+            delta = np.where(pres[i - 1] > 0, delta, model.slope * delta)
     return grads, delta
 
 
 def loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
                    need_param_grads: bool = True, need_input_grad: bool = True):
-    """Cross-entropy loss plus requested gradients in one pass."""
-    out = forward(model, X)
-    logits = logit_pair_from_output(out)
-    loss, dlogits = ce_loss(logits, y)
+    """Cross-entropy loss plus requested gradients from one forward pass."""
+    cache = forward_cached(model, X)
+    out = cache[0]
+    loss, dlogits = ce_loss(logit_pair_from_output(out), y)
     dout = dlogits if out.shape[1] == 2 else (dlogits[:, 1] - dlogits[:, 0]).reshape(-1, 1)
-    param_grads, input_grad = backward(model, X, dout, need_param_grads)
+    param_grads, input_grad = backward(model, cache, dout, need_param_grads)
     if not need_input_grad:
         input_grad = None
     return loss, param_grads, input_grad

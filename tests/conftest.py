@@ -42,3 +42,17 @@ def cfg_mass():
 @pytest.fixture
 def cfg_norm():
     return GameConfig("norm", 0.3, 0.5)
+
+
+@pytest.fixture
+def net_calls(monkeypatch):
+    """Counts of nets.forward_cached and nets.backward calls made in a test."""
+    from advgame import nets
+
+    counts = {"forward_cached": 0, "backward": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(nets, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nets, name, counted)
+    return counts

@@ -149,7 +149,7 @@ def test_eot_logits_two_linear_models_average():
 EOT_OBJECTIVES = {
     "ce": loss_and_input_grad,
     "cw_hinge": lambda model, X, Y, mode: attacks._eot_objective(
-        model, X, Y, mode, attacks._cw_hinge),
+        model, X, Y, mode, attacks._cw_hinge)[:2],
 }
 
 
@@ -191,6 +191,17 @@ def test_eot_gradient_is_weighted_sum_and_matches_fd(mlp_model, objective, mode)
         assert np.allclose(grad, 0.6 * ga + 0.4 * gb, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["eot_logits", "eot_loss"])
+def test_eot_gradient_runs_each_component_forward_once(mlp_model, mode, net_calls):
+    comps = (mlp_model, Mlp(nets.init_mlp((2, 6, 1), seed=2)), ag.Linear((0.7, -1.3), -0.1),
+             Mlp(nets.init_mlp((2, 8, 8, 2), seed=5)))
+    m = MixedClassifier(comps, (0.4, 0.3, 0.2, 0.1))
+    X = np.random.default_rng(6).uniform(0, 1, (7, 2))
+    loss_and_input_grad(m, X, np.ones(7, dtype=int), mode)
+    # three Mlp components: one forward and one backward each; Linear has neither
+    assert net_calls == {"forward_cached": 3, "backward": 3}
+
+
 # ---------------------------------------------------------------------------
 # C&W
 # ---------------------------------------------------------------------------
@@ -218,6 +229,38 @@ def test_cw_already_misclassified_zero_perturbation(linear_model):
 def test_cw_requires_box(linear_model):
     with pytest.raises(ConfigError):
         ag.cw_l2(linear_model, np.array([0.5, 0.5]), 1, ag.CwConfig(), box=None)
+
+
+def test_cw_runs_one_forward_per_backward(mlp_model, net_calls):
+    m = MixedClassifier((mlp_model, Mlp(nets.init_mlp((2, 6, 1), seed=2))), (0.7, 0.3))
+    X = np.random.default_rng(4).uniform(0.2, 0.8, (5, 2))
+    cfg = ag.CwConfig(iters=6, binary_search_steps=2, abort_early=False)
+    for mode in ("eot_logits", "eot_loss"):
+        cw_l2_batch(m, X, np.ones(5, dtype=int), cfg, mode=mode)
+    # 2 modes x 2 search steps x 6 iterations x 2 components, and the miss
+    # test reads the same logits (no extra forward pass)
+    assert net_calls == {"forward_cached": 48, "backward": 48}
+
+
+@pytest.mark.parametrize("y", [1, -1])
+def test_cw_miss_rule_matches_expected_errors_on_zero_margin(y):
+    lin = ag.Linear((1.0, -1.0), 0.0)  # zero on the diagonal x1 == x2
+    zero_nets = [nets.init_mlp(sizes, seed=0) for sizes in ((2, 4, 1), (2, 4, 2))]
+    for net in zero_nets:
+        for w in net.weights:
+            w[...] = 0.0
+    comps = (lin, Mlp(zero_nets[0]), Mlp(zero_nets[1]))
+    X = np.array([[0.3, 0.3], [0.5, 0.5], [0.2, 0.7]])
+    Y = np.full(3, y)
+    pairs = [attacks._component_logits(h, X)[0] for h in comps]
+    for h, pair in zip(comps, pairs):
+        got = attacks._pair_errors((1.0,), [pair], Y)
+        assert np.array_equal(got, MixedClassifier((h,), (1.0,)).expected_errors(X, Y))
+    m = MixedClassifier(comps, (0.5, 0.3, 0.2))
+    got = attacks._pair_errors(m.weights, pairs, Y)
+    assert np.array_equal(got, m.expected_errors(X, Y))
+    # a zero margin errs on both labels
+    assert got[:2].tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

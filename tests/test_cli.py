@@ -126,6 +126,23 @@ def test_best_response_subcommand_2d_binned_defender(tmp_path):
     assert hypotheses.hypothesis_to_dict(back) == defender
 
 
+def test_quadrature_on_2d_config_points_to_monte_carlo(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "distribution": {
+            "prior_pos": 0.5,
+            "dimension": 2,
+            "components_pos": [{"weight": 1.0, "mean": [1.0, 0.5], "var": [1.0, 1.0]}],
+            "components_neg": [{"weight": 1.0, "mean": [-1.0, -0.5], "var": [1.0, 1.0]}],
+        },
+        "hypothesis": {"kind": "linear", "w": [1.0, 0.5], "b": -0.75},
+    })
+    for sub in ("risk", "score", "best-response"):
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 2
+        err = capsys.readouterr().err
+        assert "quadrature evaluation is exact only in 1-D" in err
+        assert '"eval": {"method": "monte_carlo"}' in err
+
+
 def test_emit_leaves_no_file_for_unserializable_report(tmp_path):
     with pytest.raises(TypeError):
         cli._emit(str(tmp_path), "risk_report.json", "risk", {}, {"risk": object()}, True)

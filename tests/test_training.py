@@ -113,6 +113,40 @@ def test_saturated_correct_prediction_has_tiny_gradient():
     assert all(np.linalg.norm(gw) < 1e-8 for gw, _ in grads)
 
 
+def test_loss_and_grads_runs_one_forward(net_calls):
+    net = nets.init_mlp((2, 8, 8, 2), seed=4)
+    X = np.random.default_rng(4).uniform(-1, 1, (6, 2))
+    nets.loss_and_grads(net, X, np.array([1, -1, 1, 1, -1, -1]))
+    assert net_calls == {"forward_cached": 1, "backward": 1}
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+def test_rectifier_and_its_backward_step_keep_signed_zeros(slope):
+    # the where-form of the leaky rectifier, on zero, positive and negative
+    # preactivations (slope 0 turns the negative ones into -0.0)
+    net = nets.MlpModel([np.eye(2), np.array([[1.0], [-1.0]])],
+                        [np.zeros(2), np.zeros(1)], slope)
+    cache = nets.forward_cached(net, np.array([[0.0, -0.0], [1.5, -2.0], [-0.5, 3.0]]))
+    a = cache[1][0]
+    leaky = np.where(a > 0, a, slope * a)
+    assert np.array_equal(cache[2][1], leaky)
+    assert np.array_equal(np.signbit(cache[2][1]), np.signbit(leaky))
+    dout = np.array([[-0.0], [2.0], [-1.0]])
+    _, dX = nets.backward(net, cache, dout, need_param_grads=False)
+    want = ((dout @ net.weights[1].T) * np.where(a > 0, 1.0, slope)) @ net.weights[0].T
+    assert np.array_equal(dX, want)
+    assert np.array_equal(np.signbit(dX), np.signbit(want))
+
+
+def test_rectifier_slope_must_lie_in_unit_interval():
+    d = nets.mlp_to_dict(nets.init_mlp((2, 4, 2), seed=0))
+    for slope in (0.0, 1.0):
+        assert nets.mlp_from_dict({**d, "slope": slope}).slope == slope
+    for slope in (1.5, -0.1, math.nan):
+        with pytest.raises(InvalidInput, match="slope"):
+            nets.mlp_from_dict({**d, "slope": slope})
+
+
 # ---------------------------------------------------------------------------
 # Training loops
 # ---------------------------------------------------------------------------
