@@ -10,10 +10,8 @@ from .distributions import (
     EmpiricalMeasure,
     GaussianComponent,
     GridSpec,
-    LabeledSample,
     density,
     integrate,
-    posterior,
     pushforward_empirical,
     sample_labeled,
     two_gaussians_1d,
@@ -53,16 +51,12 @@ from .theorems import (
     weak_duality_grid,
 )
 from .attacks import (
-    AttackResult,
     CwConfig,
     PgdConfig,
     accuracy,
     accuracy_under_cw,
     accuracy_under_pgd,
     adaptive_cw,
-    cw_l2,
-    eot_logits,
-    reject_threshold,
 )
 from .training import (
     TrainConfig,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .errors import ConfigError, DimensionMismatch, UnsupportedKind
+from .errors import ConfigError, UnsupportedKind
 from .hypotheses import Hypothesis, Linear, MixedClassifier, Mlp, as_mixture, three_sign
 
 
@@ -68,17 +68,6 @@ ATTACK_PRESETS = {
     "at_paper": PGD_TRAIN_PAPER,  # training-time attack of the AT protocol
     "cw_paper": CW_PAPER,
 }
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    """One attacked sample; if rejected, x_adv has been reset to the natural point."""
-
-    x_adv: np.ndarray
-    norm_l2: float
-    norm_linf: float
-    success: bool
-    rejected: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +133,25 @@ def model_logits(model, X: np.ndarray) -> np.ndarray:
     return _expected_pair(mix.weights, [_component_logits(h, X)[0] for h in mix.hypotheses])
 
 
-def eot_logits(m: MixedClassifier, x) -> np.ndarray:
-    """Expected decision values of a mixture, exactly from the weight vector."""
-    return model_logits(m, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+def _eot_value(mix: MixedClassifier, X: np.ndarray, Y: np.ndarray, mode: str, loss):
+    """The forward half of :func:`_eot_objective`: the per-sample value, its
+    derivative with respect to each component's logit pair, and the
+    per-component logit pairs with their forward caches. No backward pass runs.
+    """
+    pairs, caches = zip(*(_component_logits(h, X) for h in mix.hypotheses))
+    if mode == "eot_logits":
+        value, dpair = loss(_expected_pair(mix.weights, pairs), Y)
+        dpairs = [dpair] * len(mix)
+    elif mode == "eot_loss":
+        value = np.zeros(X.shape[0])
+        dpairs = []
+        for q, pair in zip(mix.weights, pairs):
+            v, dpair = loss(pair, Y)
+            value += q * v
+            dpairs.append(dpair)
+    else:
+        raise ConfigError(f"unknown EOT mode {mode!r}")
+    return value, dpairs, pairs, caches
 
 
 def _eot_objective(model, X: np.ndarray, Y, mode: str, loss):
@@ -162,19 +167,7 @@ def _eot_objective(model, X: np.ndarray, Y, mode: str, loss):
     mix = _require_differentiable(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
-    pairs, caches = zip(*(_component_logits(h, X) for h in mix.hypotheses))
-    if mode == "eot_logits":
-        value, dpair = loss(_expected_pair(mix.weights, pairs), Y)
-        dpairs = [dpair] * len(mix)
-    elif mode == "eot_loss":
-        value = np.zeros(X.shape[0])
-        dpairs = []
-        for q, pair in zip(mix.weights, pairs):
-            v, dpair = loss(pair, Y)
-            value += q * v
-            dpairs.append(dpair)
-    else:
-        raise ConfigError(f"unknown EOT mode {mode!r}")
+    value, dpairs, pairs, caches = _eot_value(mix, X, Y, mode, loss)
     grad = np.zeros_like(X)
     for q, h, cache, dpair in zip(mix.weights, mix.hypotheses, caches, dpairs):
         grad += q * _component_logit_vjp(h, cache, dpair)
@@ -214,9 +207,10 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
                    box=(0.0, 1.0), mode: str = "eot_logits"):
     """Best-of-restarts signed-gradient ascent, projected to the ball each step.
 
-    Each restart contributes only its final iterate. Returns (adversarial
-    points, per-sample best losses).
+    Each restart contributes only its final iterate, scored by a forward pass
+    alone. Returns (adversarial points, per-sample best losses).
     """
+    mix = _require_differentiable(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
     eps = cfg.epsilon_inf
@@ -234,7 +228,7 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
             x_adv = x_adv + cfg.step * np.sign(grad)
             x_adv = np.clip(x_adv, X - eps, X + eps)
             x_adv = _clip_box(x_adv, box)
-        loss, _ = loss_and_input_grad(model, x_adv, Y, mode)
+        loss = _eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
         better = loss > best_loss
         best_x[better] = x_adv[better]
         best_loss[better] = loss[better]
@@ -261,12 +255,15 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
     """Batched C&W: minimize ||tau||^2 + c * cost with Adam in tanh space.
 
     Returns (best adversarial points, best l2 norms, success mask). Failed
-    samples keep their natural point and an infinite best norm.
+    samples keep their natural point and an infinite best norm. The binary
+    search on the constant runs per row, but with ``cfg.abort_early`` the
+    early abort (Carlini & Wagner 2017) reads the objective summed over the
+    batch, so a row's result can depend on the other rows of its batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],)).copy()
     if box is None:
-        raise ConfigError("cw_l2 needs a box domain for the tanh change of variable")
+        raise ConfigError("C&W needs a box domain for the tanh change of variable")
     mix = _require_differentiable(model)
     lo, hi = float(box[0]), float(box[1])
     scale, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
@@ -318,18 +315,6 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
     return o_best_x, o_best_l2, o_success
 
 
-def cw_l2(model, x, y: int, cfg: CwConfig, box=(0.0, 1.0),
-          mode: str = "eot_logits") -> AttackResult:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    adv, l2, ok = cw_l2_batch(model, x.reshape(1, -1), np.array([y]), cfg, box, mode)
-    return AttackResult(
-        x_adv=adv[0],
-        norm_l2=float(np.linalg.norm(adv[0] - x)),
-        norm_linf=float(np.abs(adv[0] - x).max()) if adv[0].size else 0.0,
-        success=bool(ok[0]),
-    )
-
-
 def _take_eot_loss(model, Y, adv_logits, adv_loss, l2_logits, l2_loss) -> np.ndarray:
     """The adaptive-C&W tie rule, per row: keep the eot_loss point only if its
     exact expected error is strictly larger, or equal with a strictly shorter
@@ -339,31 +324,25 @@ def _take_eot_loss(model, Y, adv_logits, adv_loss, l2_logits, l2_loss) -> np.nda
     return (err_loss > err_logits) | ((err_loss == err_logits) & (l2_loss < l2_logits))
 
 
-def adaptive_cw(m: MixedClassifier, x, y: int, cfg: CwConfig,
-                box=(0.0, 1.0)) -> AttackResult:
-    """Run C&W through expected logits and through expected loss; keep the
-    candidate with the larger exact expected error, then the shorter l2 norm,
-    and the expected-logits one on a full tie."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b = (cw_l2(m, x, y, cfg, box, mode) for mode in ("eot_logits", "eot_loss"))
-    take_b = _take_eot_loss(m, y, a.x_adv.reshape(1, -1), b.x_adv.reshape(1, -1),
-                            a.norm_l2, b.norm_l2)
-    return b if take_b[0] else a
+def adaptive_cw(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0)) -> np.ndarray:
+    """Adaptive C&W: the adversarial point per row of X.
 
-
-def reject_threshold(natural, adversarial, epsilon2: float):
-    """Discard perturbations whose l2 norm exceeds epsilon2 (non-strict accept).
-
-    Returns (effective point, rejected flag); a rejected attack keeps the
-    natural example.
+    Runs :func:`cw_l2_batch` through the expected logits; for a mixture of
+    more than one component it also runs it through the expected loss and,
+    per row, keeps the candidate with the larger exact expected error, then
+    the shorter l2 norm, and the expected-logits one on a full tie. With
+    ``cfg.abort_early`` a row's point can depend on the other rows of its
+    batch (see :func:`cw_l2_batch`).
     """
-    natural = np.atleast_1d(np.asarray(natural, dtype=float))
-    adversarial = np.atleast_1d(np.asarray(adversarial, dtype=float))
-    if natural.shape != adversarial.shape:
-        raise DimensionMismatch("natural and adversarial points differ in shape")
-    if float(np.linalg.norm(adversarial - natural)) > epsilon2:
-        return natural.copy(), True
-    return adversarial.copy(), False
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
+    adv, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_logits")
+    if len(as_mixture(model)) > 1:
+        adv_b, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_loss")
+        take_b = _take_eot_loss(model, Y, adv, adv_b, np.linalg.norm(adv - X, axis=1),
+                                np.linalg.norm(adv_b - X, axis=1))
+        adv = np.where(take_b[:, None], adv_b, adv)
+    return adv
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +357,11 @@ def accuracy_under_pgd(model, X, Y, cfg: PgdConfig, box=(0.0, 1.0),
 
 def accuracy_under_cw(model, X, Y, cfg: CwConfig, box=(0.0, 1.0),
                       reject_eps=CW_REJECT_THRESHOLDS) -> dict[float, float]:
-    """Accuracy after C&W with the hard-constraint filter, per threshold.
-
-    For mixtures both EOT variants run and the stronger perturbation per
-    sample is kept, as in :func:`adaptive_cw`, before the rejection filter.
-    """
+    """Accuracy after :func:`adaptive_cw` with the hard-constraint filter, per
+    threshold: a perturbation is kept if its l2 norm is at most the threshold
+    (non-strict), otherwise the natural point is."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
-    adv, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_logits")
-    if len(as_mixture(model)) > 1:
-        adv_b, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_loss")
-        take_b = _take_eot_loss(model, Y, adv, adv_b, np.linalg.norm(adv - X, axis=1),
-                                np.linalg.norm(adv_b - X, axis=1))
-        adv = np.where(take_b[:, None], adv_b, adv)
+    adv = adaptive_cw(model, X, Y, cfg, box)
     norms = np.linalg.norm(adv - X, axis=1)
     out = {}
     for eps2 in np.atleast_1d(np.asarray(reject_eps, dtype=float)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -127,29 +127,9 @@ def density(spec: DistributionSpec, label: int, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def posterior(spec: DistributionSpec, x) -> float | np.ndarray:
-    """P(Y=+1 | X=x); 0.5 where both class densities vanish (tie convention)."""
-    pts, single = _as_points(x, spec.dimension)
-    num = spec.prior_pos * np.asarray(density(spec, +1, pts))
-    den = num + (1.0 - spec.prior_pos) * np.asarray(density(spec, -1, pts))
-    out = np.where(den > 0.0, np.divide(num, den, out=np.full_like(num, 0.5), where=den > 0.0), 0.5)
-    return float(out[0]) if single else out
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LabeledSample:
-    point: np.ndarray  # length d
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise InvalidInput(f"label must be -1 or +1, got {self.label}")
-        object.__setattr__(self, "point", np.atleast_1d(np.asarray(self.point, dtype=float)))
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -171,9 +151,6 @@ class EmpiricalMeasure:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(self.points[i], int(self.labels[i]))
 
     @property
     def dimension(self) -> int:
@@ -418,15 +395,6 @@ def spec_to_json(spec: DistributionSpec) -> str:
 
 def spec_from_json(text: str) -> DistributionSpec:
     return spec_from_dict(json.loads(text))
-
-
-def measure_to_csv(measure: EmpiricalMeasure, path) -> None:
-    d = measure.dimension
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-        for p, lab in zip(measure.points, measure.labels):
-            writer.writerow([repr(float(v)) for v in p] + [int(lab)])
 
 
 def measure_from_csv(path) -> EmpiricalMeasure:

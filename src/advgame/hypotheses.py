@@ -466,13 +466,6 @@ class MixedClassifier:
     def __len__(self) -> int:
         return len(self.hypotheses)
 
-    def mixture_distribution(self, x) -> dict[int, float]:
-        """Output law at x over {-1, 0, +1} (0 is the abstain/boundary mass)."""
-        out = {-1: 0.0, 0: 0.0, 1: 0.0}
-        for q, h in zip(self.weights, self.hypotheses):
-            out[h.predict(x)] += q
-        return out
-
     def expected_errors(self, X, Y) -> np.ndarray:
         """E over the mixture of 1{prediction != y}, exactly from the weights."""
         pts, _ = _as_points(X, self.dimension)

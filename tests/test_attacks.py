@@ -130,7 +130,7 @@ def test_pgd_accuracy_nonincreasing_in_budget(mlp_model):
 def test_eot_logits_degenerate(linear_model):
     m = MixedClassifier((linear_model,), (1.0,))
     x = np.array([0.3, 0.4])
-    pair = ag.eot_logits(m, x)
+    pair = model_logits(m, x.reshape(1, -1))[0]
     g = linear_model.decision_value(x)
     assert pair[1] - pair[0] == pytest.approx(2 * g)
 
@@ -140,10 +140,9 @@ def test_eot_logits_two_linear_models_average():
     h2 = ag.Linear((0.0, 2.0), -0.4)
     m = MixedClassifier((h1, h2), (0.3, 0.7))
     avg = ag.Linear((0.3, 1.4), 0.3 * 0.2 + 0.7 * -0.4)
-    rng = np.random.default_rng(0)
-    for x in rng.uniform(-1, 1, (10, 2)):
-        pair = ag.eot_logits(m, x)
-        assert pair[1] - pair[0] == pytest.approx(2 * avg.decision_value(x), rel=1e-12)
+    X = np.random.default_rng(0).uniform(-1, 1, (10, 2))
+    pair = model_logits(m, X)
+    assert pair[:, 1] - pair[:, 0] == pytest.approx(2 * avg.decision_values(X), rel=1e-12)
 
 
 EOT_OBJECTIVES = {
@@ -219,16 +218,17 @@ def test_cw_linear_minimal_perturbation(linear_model):
 
 
 def test_cw_already_misclassified_zero_perturbation(linear_model):
-    x = np.array([0.5, 0.5])
-    y = -int(_labels(linear_model, x.reshape(1, -1))[0])  # wrong label on purpose
-    res = ag.cw_l2(linear_model, x, y, ag.CwConfig(iters=50))
-    assert res.success
-    assert res.norm_l2 < 1e-3
+    X = np.array([[0.5, 0.5]])
+    Y = -_labels(linear_model, X)  # wrong label on purpose
+    adv, l2, ok = cw_l2_batch(linear_model, X, Y, ag.CwConfig(iters=50))
+    assert ok[0]
+    assert l2[0] < 1e-3
+    assert np.linalg.norm(adv[0] - X[0]) < 1e-3
 
 
 def test_cw_requires_box(linear_model):
     with pytest.raises(ConfigError):
-        ag.cw_l2(linear_model, np.array([0.5, 0.5]), 1, ag.CwConfig(), box=None)
+        cw_l2_batch(linear_model, np.array([[0.5, 0.5]]), 1, ag.CwConfig(), box=None)
 
 
 def test_cw_runs_one_forward_per_backward(mlp_model, net_calls):
@@ -268,29 +268,49 @@ def test_cw_miss_rule_matches_expected_errors_on_zero_margin(y):
 # ---------------------------------------------------------------------------
 
 def test_adaptive_cw_degenerate_mixture(linear_model):
+    # a one-component mixture runs only the expected-logits attack
     m = MixedClassifier((linear_model,), (1.0,))
-    x = np.array([0.55, 0.5])
-    y = int(_labels(linear_model, x.reshape(1, -1))[0])
+    X = np.vstack([[0.55, 0.5], np.random.default_rng(8).uniform(0.35, 0.65, (5, 2))])
+    Y = _labels(linear_model, X)
     cfg = ag.CwConfig(iters=60)
-    a = ag.adaptive_cw(m, x, y, cfg)
-    b = ag.cw_l2(linear_model, x, y, cfg)
-    assert np.allclose(a.x_adv, b.x_adv)
+    a = ag.adaptive_cw(m, X, Y, cfg)
+    b, _, _ = cw_l2_batch(linear_model, X, Y, cfg)
+    assert np.allclose(a, b)
 
 
 def test_adaptive_cw_takes_stronger_variant(mlp_model):
     other = Mlp(nets.init_mlp((2, 16, 16, 2), seed=11))
     m = MixedClassifier((mlp_model, other), (0.5, 0.5))
-    rng = np.random.default_rng(3)
+    X = np.random.default_rng(3).uniform(0.2, 0.8, (6, 2))
+    Y = np.ones(6, dtype=int)
     cfg = ag.CwConfig(iters=60)
-    for x in rng.uniform(0.2, 0.8, (6, 2)):
-        y = 1
-        res = ag.adaptive_cw(m, x, y, cfg)
-        errs = []
-        for mode in ("eot_logits", "eot_loss"):
-            r = ag.cw_l2(m, x, y, cfg, mode=mode)
-            errs.append(float(attacks.expected_errors(m, r.x_adv.reshape(1, -1), y)[0]))
-        got = float(attacks.expected_errors(m, res.x_adv.reshape(1, -1), y)[0])
-        assert got >= max(errs) - 1e-12
+    adv = ag.adaptive_cw(m, X, Y, cfg)
+    errs = [attacks.expected_errors(m, cw_l2_batch(m, X, Y, cfg, mode=mode)[0], Y)
+            for mode in ("eot_logits", "eot_loss")]
+    got = attacks.expected_errors(m, adv, Y)
+    assert np.all(got >= np.maximum(*errs) - 1e-12)
+
+
+def test_cw_without_early_abort_does_not_depend_on_batching(linear_model):
+    # the binary search runs per row; only the early abort reads the whole batch.
+    # Both nets have a boundary inside the points' square, and with the early
+    # abort on, this split changes rows of the eot_loss attack.
+    comps = (Mlp(nets.init_mlp((2, 16, 16, 2), seed=1)), Mlp(nets.init_mlp((2, 6, 1), seed=8)),
+             linear_model)
+    m = MixedClassifier(comps, (0.5, 0.3, 0.2))
+    X = np.random.default_rng(12).uniform(0.2, 0.8, (30, 2))
+    pair = model_logits(m, X)
+    Y = np.where(pair[:, 1] > pair[:, 0], 1, -1)
+    cfg = ag.CwConfig(iters=40, binary_search_steps=5, abort_early=False)
+    parts = (slice(0, 1), slice(1, 13), slice(13, 30))
+    for mode in ("eot_logits", "eot_loss"):
+        whole = cw_l2_batch(m, X, Y, cfg, mode=mode)
+        split = [cw_l2_batch(m, X[p], Y[p], cfg, mode=mode) for p in parts]
+        for k in range(3):
+            assert np.array_equal(whole[k], np.concatenate([out[k] for out in split]))
+    adv = ag.adaptive_cw(m, X, Y, cfg)
+    assert np.array_equal(adv, np.concatenate([ag.adaptive_cw(m, X[p], Y[p], cfg)
+                                               for p in parts]))
 
 
 def test_adaptive_tie_rule_prefers_expected_logits_unless_strictly_better():
@@ -316,48 +336,35 @@ def test_adaptive_cw_near_oracle_on_toy(spec_2d):
     cfg = ag.CwConfig(iters=120, binary_search_steps=9)
     game_cfg = GameConfig("norm", 1e-9, 0.9)  # essentially unregularized search
     data = ag.sample_labeled(spec_2d, 40, seed=5)
-    worse = 0.0
-    for x, y in zip(data.points, data.labels):
-        res = ag.adaptive_cw(m, x, int(y), cfg)
-        z = pointwise_attack_oracle(m, x, int(y), game_cfg, grid_n=81)
-        err_attack = float(attacks.expected_errors(m, res.x_adv.reshape(1, -1), int(y))[0])
-        err_oracle = float(attacks.expected_errors(m, z.reshape(1, -1), int(y))[0])
-        # oracle searches a larger ball; compare per point with slack
-        worse = max(worse, err_oracle - err_attack)
-    assert worse <= 0.5 + 1e-12  # never loses a full point to the oracle
-    # and on average stays within 0.05
-    # (recomputed explicitly to keep the aggregate claim visible)
-    gaps = []
-    for x, y in zip(data.points, data.labels):
-        res = ag.adaptive_cw(m, x, int(y), cfg)
-        z = pointwise_attack_oracle(m, x, int(y), game_cfg, grid_n=81)
-        gaps.append(
-            float(attacks.expected_errors(m, z.reshape(1, -1), int(y))[0])
-            - float(attacks.expected_errors(m, res.x_adv.reshape(1, -1), int(y))[0])
-        )
-    assert np.mean(gaps) <= 0.05
+    adv = ag.adaptive_cw(m, data.points, data.labels, cfg)
+    oracle = np.array([pointwise_attack_oracle(m, x, int(y), game_cfg, grid_n=81)
+                       for x, y in zip(data.points, data.labels)])
+    # the oracle searches a larger ball; compare per point with slack
+    gaps = (attacks.expected_errors(m, oracle, data.labels)
+            - attacks.expected_errors(m, adv, data.labels))
+    assert gaps.max() <= 0.5 + 1e-12  # never loses a full point to the oracle
+    assert gaps.mean() <= 0.05  # and on average stays within 0.05
 
 
 # ---------------------------------------------------------------------------
-# Rejection threshold
+# Rejection filter
 # ---------------------------------------------------------------------------
 
-def test_reject_threshold_discards_large_perturbations():
-    natural = np.zeros(3)
-    adv = np.array([0.9, 0.0, 0.0])
-    point, rejected = ag.reject_threshold(natural, adv, 0.8)
-    assert rejected
-    assert np.array_equal(point, natural)
-
-
-def test_reject_threshold_keeps_small_and_boundary():
-    natural = np.zeros(2)
-    point, rejected = ag.reject_threshold(natural, natural, 0.4)
-    assert not rejected
-    adv = np.array([0.4, 0.0])  # exactly at the threshold: accepted
-    point, rejected = ag.reject_threshold(natural, adv, 0.4)
-    assert not rejected
-    assert np.array_equal(point, adv)
+def test_accuracy_under_cw_rejection_boundary_is_non_strict():
+    h = ag.Linear((1.0, 1.0), -1.0)
+    X = np.array([[0.52, 0.52], [0.56, 0.56], [0.62, 0.62]])  # all labelled +1
+    Y = np.ones(3, dtype=int)
+    cfg = ag.CwConfig(iters=40, binary_search_steps=5)
+    adv = ag.adaptive_cw(h, X, Y, cfg)
+    assert attacks.expected_errors(h, adv, Y).tolist() == [1.0, 1.0, 1.0]
+    norms = np.linalg.norm(adv - X, axis=1)
+    assert norms[0] < norms[1] < norms[2]
+    below = np.nextafter(norms[1], 0.0)
+    accs = attacks.accuracy_under_cw(h, X, Y, cfg, reject_eps=(norms[1], below))
+    # a threshold equal to row 1's norm keeps its attack; one ulp less puts
+    # its natural point back
+    assert accs[float(norms[1])] == pytest.approx(1 / 3)
+    assert accs[float(below)] == pytest.approx(2 / 3)
 
 
 def test_accuracy_under_cw_with_rejection(spec_2d):

@@ -197,25 +197,30 @@ def test_predict_equals_sign_of_decision_value(x, t):
 # Mixtures
 # ---------------------------------------------------------------------------
 
+# The mixture's output law at x is read from its expected errors: the mass
+# voting -y is expected_errors(x, y) minus the abstain (zero-output) mass,
+# which errs on both labels.
+
 def test_mixture_distribution_weights():
     m = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(1.0)), (0.7, 0.3))
-    out = m.mixture_distribution(np.array([0.5]))  # h1 says +1, h2 says -1
-    assert out[1] == pytest.approx(0.7)
-    assert out[-1] == pytest.approx(0.3)
-    assert sum(out.values()) == pytest.approx(1.0)
+    x = np.array([[0.5]])  # h1 says +1, h2 says -1
+    assert m.expected_errors(x, 1)[0] == pytest.approx(0.3)
+    assert m.expected_errors(x, -1)[0] == pytest.approx(0.7)
 
 
 def test_mixture_unanimity_and_degenerate():
     m = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(-1.0)), (0.6, 0.4))
-    assert m.mixture_distribution(np.array([2.0]))[1] == pytest.approx(1.0)
+    assert m.expected_errors(np.array([[2.0]]), 1).tolist() == [0.0]
+    assert m.expected_errors(np.array([[2.0]]), -1)[0] == pytest.approx(1.0)
     single = ag.MixedClassifier((ag.Threshold(0.0),), (1.0,))
-    assert single.mixture_distribution(np.array([1.0]))[1] == pytest.approx(1.0)
+    assert single.expected_errors(np.array([[1.0]]), 1).tolist() == [0.0]
 
 
 def test_mixture_abstain_mass_at_boundary():
     m = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(1.0)), (0.5, 0.5))
-    out = m.mixture_distribution(np.array([0.0]))
-    assert out[0] == pytest.approx(0.5)  # h1 outputs 0 exactly at its boundary
+    x = np.array([[0.0]])  # h1 outputs 0 exactly at its boundary, h2 says -1
+    assert m.expected_errors(x, 1)[0] == pytest.approx(1.0)
+    assert m.expected_errors(x, -1)[0] == pytest.approx(0.5)
 
 
 def test_mixture_validation():
@@ -228,9 +233,12 @@ def test_mixture_validation():
 @settings(max_examples=20, deadline=None)
 @given(q=st.floats(0.01, 0.99), x=st.floats(-3, 3))
 def test_mixture_distribution_sums_to_one(q, x):
+    # the votes for +1, for -1 and the abstain mass sum to one
     m = ag.MixedClassifier((ag.Threshold(0.0), ag.Threshold(0.5, -1)), (q, 1 - q))
-    out = m.mixture_distribution(np.array([x]))
-    assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
+    pt = np.array([[x]])
+    abstain = q * (x == 0.0) + (1 - q) * (x == 0.5)
+    errs = m.expected_errors(pt, 1)[0] + m.expected_errors(pt, -1)[0]
+    assert errs == pytest.approx(1.0 + abstain, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
