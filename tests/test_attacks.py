@@ -350,21 +350,37 @@ def test_adaptive_cw_near_oracle_on_toy(spec_2d):
 # Rejection filter
 # ---------------------------------------------------------------------------
 
-def test_accuracy_under_cw_rejection_boundary_is_non_strict():
+def _three_attacked_points():
+    """Three +1 points that adaptive C&W flips, at strictly increasing norms."""
     h = ag.Linear((1.0, 1.0), -1.0)
-    X = np.array([[0.52, 0.52], [0.56, 0.56], [0.62, 0.62]])  # all labelled +1
+    X = np.array([[0.52, 0.52], [0.56, 0.56], [0.62, 0.62]])
     Y = np.ones(3, dtype=int)
     cfg = ag.CwConfig(iters=40, binary_search_steps=5)
     adv = ag.adaptive_cw(h, X, Y, cfg)
     assert attacks.expected_errors(h, adv, Y).tolist() == [1.0, 1.0, 1.0]
     norms = np.linalg.norm(adv - X, axis=1)
     assert norms[0] < norms[1] < norms[2]
+    return h, X, Y, cfg, norms
+
+
+def test_reject_threshold_discards_large_perturbations():
+    h, X, Y, cfg, norms = _three_attacked_points()
     below = np.nextafter(norms[1], 0.0)
-    accs = attacks.accuracy_under_cw(h, X, Y, cfg, reject_eps=(norms[1], below))
-    # a threshold equal to row 1's norm keeps its attack; one ulp less puts
-    # its natural point back
-    assert accs[float(norms[1])] == pytest.approx(1 / 3)
+    accs = attacks.accuracy_under_cw(h, X, Y, cfg,
+                                     reject_eps=(below, np.nextafter(norms[0], 0.0)))
+    # one ulp under row 1's norm puts the natural points of rows 1 and 2 back
     assert accs[float(below)] == pytest.approx(2 / 3)
+    # under every norm, all natural points come back
+    assert accs[float(np.nextafter(norms[0], 0.0))] == pytest.approx(1.0)
+
+
+def test_reject_threshold_keeps_small_and_boundary():
+    h, X, Y, cfg, norms = _three_attacked_points()
+    accs = attacks.accuracy_under_cw(h, X, Y, cfg, reject_eps=(norms[1], norms[2] + 1.0))
+    # a threshold equal to row 1's norm keeps its attack (non-strict accept)
+    assert accs[float(norms[1])] == pytest.approx(1 / 3)
+    # a threshold above every norm keeps every attack
+    assert accs[float(norms[2] + 1.0)] == pytest.approx(0.0)
 
 
 def test_accuracy_under_cw_with_rejection(spec_2d):
