@@ -21,6 +21,8 @@ def main():
                         help="first-classifier candidates for best-AUA selection")
     parser.add_argument("--out", default="out/bat_benchmark.csv")
     args = parser.parse_args()
+    if args.candidates < 1:
+        parser.error("--candidates must be >= 1")
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
 
     rows = bat_vs_at_benchmark(seeds=tuple(args.seeds),

@@ -9,9 +9,7 @@ from .distributions import (
     DistributionSpec,
     EmpiricalMeasure,
     GaussianComponent,
-    GridSpec,
     density,
-    integrate,
     pushforward_empirical,
     sample_labeled,
     two_gaussians_1d,
@@ -41,7 +39,6 @@ from .hypotheses import (
     Mlp,
     RegionFlip,
     Threshold,
-    attackable_region,
     bayes_optimal,
 )
 from .theorems import (

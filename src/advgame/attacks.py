@@ -44,7 +44,6 @@ class CwConfig:
     initial_const: float = 1e-3
     iters: int = 100
     abort_early: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("lr", "binary_search_steps", "initial_const", "iters"):

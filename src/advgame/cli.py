@@ -32,7 +32,7 @@ _TRAIN_KEYS = {"mode", "epochs", "batch_size", "lr_stages", "momentum",
                "weight_decay", "seed", "sizes"}
 _PGD_KEYS = {"preset", "epsilon_inf", "step", "iters", "restarts", "random_init", "seed"}
 _CW_KEYS = {"preset", "lr", "binary_search_steps", "initial_const", "iters",
-            "abort_early", "seed"}
+            "abort_early"}
 _ATTACK_KEYS = {"pgd", "cw", "box", "reject_thresholds", "eval_pgd"}
 _BAT_KEYS = {"n", "alpha_bat", "first_candidates", "first_best_aua"}
 _TOP_KEYS = {"distribution", "game", "hypothesis", "rounds", "improvement_threshold",
@@ -95,7 +95,6 @@ def _parse_cw(raw: dict) -> attacks.CwConfig:
         initial_const=float(raw.get("initial_const", 1e-3)),
         iters=int(raw.get("iters", 100)),
         abort_early=bool(raw.get("abort_early", True)),
-        seed=int(raw.get("seed", 0)),
     )
 
 
@@ -142,9 +141,12 @@ def _load_data(cfg: dict, spec) -> tuple:
 
 
 def _box(cfg: dict):
-    raw = cfg.get("attack", {})
-    box = raw.get("box", [0.0, 1.0])
-    return None if box is None else (float(box[0]), float(box[1]))
+    box = cfg.get("attack", {}).get("box", [0.0, 1.0])
+    if box is None:
+        return None
+    if not isinstance(box, list) or len(box) != 2 or not float(box[0]) < float(box[1]):
+        raise ConfigError(f"attack.box must be null or [lo, hi] with lo < hi, got {box}")
+    return float(box[0]), float(box[1])
 
 
 def _config_hash(resolved: dict) -> str:

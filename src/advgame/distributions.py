@@ -2,14 +2,12 @@
 
 The ground truth is a label prior nu together with one Gaussian mixture per
 class (diagonal covariance). Everything downstream is grounded in this module:
-sampling, exact interval masses on the line, and a trapezoid quadrature oracle
-for arbitrary expectations in d <= 2.
+sampling, exact interval integrals on the line, and the Bayes boundary.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,6 +19,7 @@ from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension
 from . import intervals as iv
 
 WEIGHT_TOL = 1e-12
+BAYES_SCAN_POINTS = 4097  # grid that bayes_roots scans for sign changes
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -197,51 +196,6 @@ def pushforward_empirical(measure: EmpiricalMeasure, attack) -> EmpiricalMeasure
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracle
-# ---------------------------------------------------------------------------
-
-DEFAULT_RESOLUTION_1D = 2 ** 14
-DEFAULT_RESOLUTION_2D = 2 ** 9
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform-grid description for the quadrature oracle."""
-
-    resolution: int | None = None  # points per axis
-    bounds: tuple | None = None    # ((lo, hi), ...) per axis
-    k_sigma: float = 8.0
-
-
-def integrate(f, spec: DistributionSpec, label: int, grid: GridSpec | None = None) -> float:
-    """Trapezoid estimate of E[f(X)] for X ~ class conditional, d <= 2.
-
-    f must be vectorized over an (n, d) array of points. Bounds default to
-    +-8 sigma of every component on each axis.
-    """
-    if spec.dimension > 2:
-        raise UnsupportedDimension("quadrature oracle only supports d <= 2")
-    grid = grid or GridSpec()
-    res = grid.resolution or (
-        DEFAULT_RESOLUTION_1D if spec.dimension == 1 else DEFAULT_RESOLUTION_2D
-    )
-    if grid.bounds is not None:
-        bounds = [(float(lo), float(hi)) for lo, hi in grid.bounds]
-    else:
-        lo, hi = spec.bounds(grid.k_sigma)
-        bounds = list(zip(lo.tolist(), hi.tolist()))
-    axes = [np.linspace(lo, hi, res) for lo, hi in bounds]
-    if spec.dimension == 1:
-        pts = axes[0].reshape(-1, 1)
-        vals = np.asarray(f(pts), dtype=float) * np.asarray(density(spec, label, pts))
-        return float(np.trapezoid(vals, axes[0]))
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    vals = (np.asarray(f(pts), dtype=float) * np.asarray(density(spec, label, pts))).reshape(xx.shape)
-    return float(np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0]))
-
-
-# ---------------------------------------------------------------------------
 # Exact 1-D interval integrals (the closed-form layer)
 # ---------------------------------------------------------------------------
 
@@ -300,11 +254,11 @@ def interval_abs_moment(spec: DistributionSpec, label: int, ivs: list[iv.Iv], c:
     return float(total)
 
 
-def bayes_roots(spec: DistributionSpec, scan_points: int = 4097) -> list[float]:
+def bayes_roots(spec: DistributionSpec) -> list[float]:
     """Sign changes of nu1*mu1 - nu-1*mu-1 on the line (the Bayes boundary)."""
     _check_1d(spec)
     lo, hi = spec.bounds()
-    xs = np.linspace(float(lo[0]), float(hi[0]), scan_points)
+    xs = np.linspace(float(lo[0]), float(hi[0]), BAYES_SCAN_POINTS)
 
     def f(x):
         pts = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1, 1)
@@ -387,14 +341,6 @@ def spec_from_dict(d: dict) -> DistributionSpec:
         components_pos=comps(d["components_pos"]),
         components_neg=comps(d["components_neg"]),
     )
-
-
-def spec_to_json(spec: DistributionSpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2)
-
-
-def spec_from_json(text: str) -> DistributionSpec:
-    return spec_from_dict(json.loads(text))
 
 
 def measure_from_csv(path) -> EmpiricalMeasure:

@@ -15,8 +15,15 @@ import numpy as np
 
 from .attacks import PgdConfig, accuracy, accuracy_under_pgd, pgd_linf_batch
 from .distributions import DistributionSpec, EmpiricalMeasure, sample_labeled
+from .errors import InvalidInput
 from .hypotheses import MixedClassifier, Mlp, as_mixture
 from .training import TrainConfig, grid_search_alpha, train_adversarial, train_natural
+
+# PGD of the desk-scale benchmark (unit box, eps_inf 0.08): 20 steps to train,
+# 100 steps with two restarts to select and evaluate.
+EPS = 0.08
+ATTACK_TRAIN = PgdConfig(EPS, EPS / 4, 20, 1, True, 0)
+ATTACK_EVAL = PgdConfig(EPS, EPS / 10, 100, 2, True, 0)
 
 
 def satellite_task() -> DistributionSpec:
@@ -57,20 +64,17 @@ class BatBenchmarkRow:
 def bat_vs_at(spec: DistributionSpec, seed: int, *,
               n_train: int = 2000, n_test: int = 1000,
               train_cfg: TrainConfig | None = None,
-              attack_train: PgdConfig | None = None,
-              attack_eval: PgdConfig | None = None,
               first_candidates: int = 2,
-              alpha_candidates=(0.0, 0.05, 0.1, 0.2, 0.3),
-              box=(0.0, 1.0)) -> BatBenchmarkRow:
+              alpha_candidates=(0.0, 0.05, 0.1, 0.2, 0.3)) -> BatBenchmarkRow:
     """One seed of the benchmark comparison at desk scale.
 
     The baseline is the first adversarially trained candidate; the mixture may
     select a better first classifier by accuracy under attack (the bestAUA
     option) and picks its weight by grid search, both on a validation split.
+    Every attack runs in the unit box.
     """
-    eps = 0.08
-    attack_train = attack_train or PgdConfig(eps, eps / 4, 20, 1, True, 0)
-    attack_eval = attack_eval or PgdConfig(eps, eps / 10, 100, 2, True, 0)
+    if first_candidates < 1:
+        raise InvalidInput(f"first_candidates must be >= 1, got {first_candidates}")
     epochs = 25
     stages = ((0, 0.1), (15, 0.02), (21, 0.004))
     train_cfg = train_cfg or TrainConfig(
@@ -83,20 +87,20 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
     candidates = []
     for k in range(first_candidates):
         sub = TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + 101 * k})
-        model, _ = train_adversarial(data, sub, attack_train, box=box)
+        model, _ = train_adversarial(data, sub, ATTACK_TRAIN)
         candidates.append(Mlp(model))
     baseline = candidates[0]  # the plain adversarially trained model
 
-    val_auas = [accuracy_under_pgd(c, val.points, val.labels, attack_eval, box)
+    val_auas = [accuracy_under_pgd(c, val.points, val.labels, ATTACK_EVAL)
                 for c in candidates]
     h1 = candidates[int(np.argmax(val_auas))]
 
-    adv, _ = pgd_linf_batch(h1, data.points, data.labels, attack_train, box)
+    adv, _ = pgd_linf_batch(h1, data.points, data.labels, ATTACK_TRAIN)
     d_tilde = EmpiricalMeasure(adv, data.labels, data.seed)
     cfg2 = TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + 17})
-    h2 = Mlp(train_natural(d_tilde, cfg2, box=box)[0])
+    h2 = Mlp(train_natural(d_tilde, cfg2)[0])
 
-    alpha, _ = grid_search_alpha(h1, h2, val, alpha_candidates, attack_eval, box=box)
+    alpha, _ = grid_search_alpha(h1, h2, val, alpha_candidates, ATTACK_EVAL)
     if alpha == 0.0:
         mixture = as_mixture(h1)
     else:
@@ -105,18 +109,16 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
     return BatBenchmarkRow(
         seed=seed,
         at_clean=accuracy(baseline, test.points, test.labels),
-        at_aua=accuracy_under_pgd(baseline, test.points, test.labels,
-                                  attack_eval, box),
+        at_aua=accuracy_under_pgd(baseline, test.points, test.labels, ATTACK_EVAL),
         mixture_clean=accuracy(mixture, test.points, test.labels),
-        mixture_aua=accuracy_under_pgd(mixture, test.points, test.labels,
-                                       attack_eval, box),
+        mixture_aua=accuracy_under_pgd(mixture, test.points, test.labels, ATTACK_EVAL),
         alpha=float(alpha),
         weights=tuple(mixture.weights) if isinstance(mixture, MixedClassifier)
         else (1.0,),
     )
 
 
-def bat_vs_at_benchmark(spec: DistributionSpec | None = None, seeds=(0, 1, 2, 3, 4),
-                        **kwargs) -> list[BatBenchmarkRow]:
-    spec = spec or satellite_task()
+def bat_vs_at_benchmark(seeds=(0, 1, 2, 3, 4), **kwargs) -> list[BatBenchmarkRow]:
+    """bat_vs_at on satellite_task for every seed."""
+    spec = satellite_task()
     return [bat_vs_at(spec, seed, **kwargs) for seed in seeds]

@@ -55,6 +55,7 @@ from .hypotheses import (
 
 OVERSHOOT = 1e-6
 BUDGET_TOL = 1e-9
+DEFENDER_BINS = 64  # bins per axis of the 2-D binned best-response defender
 
 PENALTIES = ("mass", "norm", "none")
 NORMS = ("l2", "linf")
@@ -684,14 +685,13 @@ def _transported_bayes(tr: Transported1D) -> Interval1D:
     return h
 
 
-def _binned_defender(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig,
-                     bins: int = 64) -> Hypothesis:
+def _binned_defender(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig) -> Hypothesis:
     from .hypotheses import Binned2D
 
     sample = sample_labeled(spec, max(cfg.mc_n, 20000), cfg.mc_seed)
     moved = pushforward_empirical(sample, attack).points
     lo, hi = spec.bounds(6.0)
-    edges = [np.linspace(lo[i], hi[i], bins + 1) for i in range(2)]
+    edges = [np.linspace(lo[i], hi[i], DEFENDER_BINS + 1) for i in range(2)]
     pos = np.histogram2d(*moved[sample.labels == 1].T, bins=edges)[0]
     neg = np.histogram2d(*moved[sample.labels == -1].T, bins=edges)[0]
     signs = np.where(pos > neg, 1, -1).tolist()  # python ints, so reports serialize
@@ -785,12 +785,6 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
         yield slice(i, i + len(block)), Z, abs_off[J], vals
 
 
-def oracle_values_1d(model, xs: np.ndarray, label: int, cfg: GameConfig,
-                     grid_n: int = 4097) -> np.ndarray:
-    """Per-point attack values sup_z [err(z) - lam*pen(x,z)] on a ball grid."""
-    return oracle_value_profiles(model, xs, cfg, grid_n)[label]
-
-
 def oracle_value_profiles(model, xs: np.ndarray, cfg: GameConfig,
                           grid_n: int = 4097) -> dict[int, np.ndarray]:
     """sup_z [err(z, y) - lam*pen(x, z)] for both labels at once.
@@ -861,27 +855,3 @@ def pointwise_attack_oracle(model, x, y: int, cfg: GameConfig,
     keys = Z[cand]
     order = np.lexsort(tuple(keys[:, i] for i in reversed(range(d))))
     return Z[cand[order[0]]]
-
-
-def discretized_score(model, apply_fn, spec: DistributionSpec, cfg: GameConfig,
-                      xs: np.ndarray) -> float:
-    """Regularized score on a fixed 1-D grid discretization of the densities.
-
-    Both sides of a closed-form-vs-oracle comparison must be fed the same grid;
-    apply_fn(points, label) returns the attacked points.
-    """
-    total = 0.0
-    for y in (1, -1):
-        pts = xs.reshape(-1, 1)
-        moved = np.atleast_2d(apply_fn(pts, y))
-        errs = as_mixture(model).expected_errors(moved, y)
-        norms = perturbation_norms(pts, moved, "l2")
-        if cfg.penalty == "mass":
-            pens = (norms > 0).astype(float)
-        elif cfg.penalty == "norm":
-            pens = norms
-        else:
-            pens = np.zeros_like(norms)
-        dens = np.asarray(density(spec, y, pts))
-        total += spec.prior(y) * float(np.trapezoid((errs - cfg.lam * pens) * dens, xs))
-    return total

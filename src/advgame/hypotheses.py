@@ -27,6 +27,7 @@ from .distributions import (
 from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension, UnsupportedKind
 
 WEIGHT_TOL = 1e-12
+BALL_GRID_N = 65  # grid points per axis of the ball that distance_to_sign searches
 
 
 def three_sign(values) -> np.ndarray:
@@ -38,7 +39,6 @@ class Hypothesis:
     """Base classifier interface. Subclasses implement decision_values."""
 
     dimension: int = 1
-    piecewise: bool = False  # True for kinds whose g is discontinuous
 
     def decision_values(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -165,7 +165,6 @@ class BandRegion(Region):
     delta: float
     side: int
     norm_kind: str = "l2"
-    search_resolution: int = 65  # per axis, for kinds without exact geometry
 
     def __post_init__(self):
         if self.delta < 0:
@@ -176,8 +175,7 @@ class BandRegion(Region):
     def contains_many(self, X) -> np.ndarray:
         pts, _ = _as_points(X, self.h.dimension)
         on_side = self.h.predicts(pts) == self.side
-        dist = distance_to_sign(self.h, pts, -self.side, self.norm_kind,
-                                self.search_resolution)
+        dist = distance_to_sign(self.h, pts, -self.side, self.norm_kind)
         return on_side & (dist <= self.delta)
 
     def intervals(self) -> list[iv.Iv]:
@@ -188,18 +186,12 @@ class BandRegion(Region):
         return iv.intersect(own, iv.dilate(other, self.delta))
 
 
-def attackable_region(h: Hypothesis, delta: float, norm_kind: str = "l2"
-                      ) -> tuple[BandRegion, BandRegion]:
-    """(P_h(delta), N_h(delta)) as membership-testable regions."""
-    return (BandRegion(h, delta, +1, norm_kind), BandRegion(h, delta, -1, norm_kind))
-
-
-def distance_to_sign(h: Hypothesis, X, sign: int, norm_kind: str = "l2",
-                     resolution: int = 65) -> np.ndarray:
+def distance_to_sign(h: Hypothesis, X, sign: int, norm_kind: str = "l2") -> np.ndarray:
     """Distance from each point to the region where h predicts `sign`.
 
     Exact for 1-D interval-formable kinds and linear kinds; for anything else
-    a documented approximation: a grid search over balls of growing radius.
+    a documented approximation: a bisection on the radius of a ball, searched
+    on a grid of BALL_GRID_N points per axis.
     """
     pts, _ = _as_points(X, h.dimension)
     if isinstance(h, Linear):
@@ -212,12 +204,12 @@ def distance_to_sign(h: Hypothesis, X, sign: int, norm_kind: str = "l2",
     try:
         form = interval_form(h)
     except UnsupportedKind:
-        return _grid_distance_to_sign(h, pts, sign, norm_kind, resolution)
+        return _grid_distance_to_sign(h, pts, sign, norm_kind)
     return iv.distance(form.sign_intervals(sign), pts[:, 0])
 
 
 def _grid_distance_to_sign(h: Hypothesis, pts: np.ndarray, sign: int,
-                           norm_kind: str, resolution: int) -> np.ndarray:
+                           norm_kind: str) -> np.ndarray:
     if h.dimension > 2:
         raise UnsupportedDimension("grid distance search needs d <= 2")
     # bisect on the radius at which a grid over the ball first hits the sign
@@ -227,14 +219,14 @@ def _grid_distance_to_sign(h: Hypothesis, pts: np.ndarray, sign: int,
             out[i] = 0.0
             continue
         lo, hi = 0.0, 1e-3
-        while hi < 1e3 and not _ball_hits_sign(h, x, hi, sign, norm_kind, resolution):
+        while hi < 1e3 and not _ball_hits_sign(h, x, hi, sign, norm_kind):
             lo, hi = hi, hi * 2
         if hi >= 1e3:
             out[i] = math.inf
             continue
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            if _ball_hits_sign(h, x, mid, sign, norm_kind, resolution):
+            if _ball_hits_sign(h, x, mid, sign, norm_kind):
                 hi = mid
             else:
                 lo = mid
@@ -243,8 +235,8 @@ def _grid_distance_to_sign(h: Hypothesis, pts: np.ndarray, sign: int,
 
 
 def _ball_hits_sign(h: Hypothesis, x: np.ndarray, radius: float, sign: int,
-                    norm_kind: str, resolution: int) -> bool:
-    offs = np.linspace(-radius, radius, resolution)
+                    norm_kind: str) -> bool:
+    offs = np.linspace(-radius, radius, BALL_GRID_N)
     if h.dimension == 1:
         Z = x[0] + offs.reshape(-1, 1)
     else:
@@ -258,12 +250,10 @@ def _ball_hits_sign(h: Hypothesis, x: np.ndarray, radius: float, sign: int,
 
 @dataclass(frozen=True, eq=False)
 class RegionFlip(Hypothesis):
-    """Flips the base prediction inside a region; g is piecewise (flagged)."""
+    """Flips the base prediction inside a region: g = -g_base there."""
 
     base: Hypothesis
     region: Region
-
-    piecewise = True
 
     @property
     def dimension(self) -> int:
@@ -294,7 +284,6 @@ class Interval1D(Hypothesis):
     signs: tuple[int, ...]
     point_labels: tuple[tuple[float, int], ...] = ()
 
-    piecewise = True
     dimension = 1
 
     def __post_init__(self):
@@ -416,13 +405,12 @@ class Binned2D(Hypothesis):
     """Grid-lookup classifier on a 2-D histogram (the binned-defender output).
 
     Queries outside the grid are clamped to the nearest cell. Approximate by
-    construction and flagged as piecewise.
+    construction: the sign is constant on each bin.
     """
 
     edges: tuple[tuple[float, ...], tuple[float, ...]]
     signs: tuple[tuple[int, ...], ...]  # (nx_bins, ny_bins)
 
-    piecewise = True
     dimension = 2
 
     def decision_values(self, X) -> np.ndarray:

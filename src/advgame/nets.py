@@ -134,16 +134,17 @@ def backward(model: MlpModel, cache, dout: np.ndarray,
     return grads, delta
 
 
-def loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray,
-                   need_param_grads: bool = True, need_input_grad: bool = True):
-    """Cross-entropy loss plus requested gradients from one forward pass."""
+def loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
+    """Cross-entropy loss, parameter and input gradients from one forward pass.
+
+    Returns (per-sample loss, param_grads, input_grad), the gradients as
+    :func:`backward` gives them.
+    """
     cache = forward_cached(model, X)
     out = cache[0]
     loss, dlogits = ce_loss(logit_pair_from_output(out), y)
     dout = dlogits if out.shape[1] == 2 else (dlogits[:, 1] - dlogits[:, 0]).reshape(-1, 1)
-    param_grads, input_grad = backward(model, cache, dout, need_param_grads)
-    if not need_input_grad:
-        input_grad = None
+    param_grads, input_grad = backward(model, cache, dout)
     return loss, param_grads, input_grad
 
 

@@ -38,8 +38,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         starts = [s for s, _ in self.lr_stages]
-        if starts != sorted(starts) or starts[0] != 0:
-            raise ConfigError("lr_stages must start at epoch 0 and be ordered")
+        if not starts or starts != sorted(starts) or starts[0] != 0:
+            raise ConfigError("lr_stages must be nonempty, start at epoch 0 and be ordered")
         if any(lr <= 0 for _, lr in self.lr_stages):
             raise ConfigError("learning rates must be > 0")
 
@@ -114,7 +114,7 @@ def _sgd_epochs(model: nets.MlpModel, data: EmpiricalMeasure, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             Xb, Yb = data.points[idx], data.labels[idx]
             Xb = batch_hook(model, Xb, Yb)
-            loss, grads, _ = nets.loss_and_grads(model, Xb, Yb, need_input_grad=False)
+            loss, grads, _ = nets.loss_and_grads(model, Xb, Yb)
             epoch_loss += float(loss.sum())
             for i, (gw, gb) in enumerate(grads):
                 gw = gw / len(idx) + cfg.weight_decay * model.weights[i]
@@ -178,44 +178,27 @@ def train_adversarial(data: EmpiricalMeasure, cfg: TrainConfig,
 # Boosted adversarial training
 # ---------------------------------------------------------------------------
 
-def bat_weights(n: int, alpha_bat: float) -> tuple[float, ...]:
-    """Weight vector after the geometric update: q_k <- (1-a) q_k, q_i <- a."""
-    q = [1.0]
-    for _ in range(2, n + 1):
-        q = [w * (1.0 - alpha_bat) for w in q] + [alpha_bat]
-    total = sum(q)
-    return tuple(w / total for w in q)  # total is 1 up to float rounding
-
-
 def bat(data: EmpiricalMeasure, n: int, alpha_bat: float, cfg: TrainConfig,
         attack_cfg: PgdConfig, *, box=(0.0, 1.0),
         first_candidates: int = 1, first_best_aua: bool = True,
-        eval_set: EmpiricalMeasure | None = None,
-        adversarial_builder=None, natural_trainer=None):
+        eval_set: EmpiricalMeasure | None = None):
     """Boosted adversarial training.
 
     Adversarially train h1; then for i = 2..n build the adversarial dataset
     against the running mixture (adaptive PGD through the exact expected
-    logits), train h_i naturally on it, and reweight. n = 2 reduces to the
-    two-classifier procedure with weights (1 - alpha, alpha).
+    logits), train h_i naturally on it, and reweight: q_k <- (1 - a) q_k for
+    the earlier classifiers, q_i <- a. n = 2 reduces to the two-classifier
+    procedure with weights (1 - alpha, alpha).
 
     first_candidates > 1 trains several first classifiers from sub-seeds and
     keeps the best one by accuracy under attack (default) or natural accuracy.
-    The builder/trainer hooks exist for structural tests.
     """
     if n < 2:
         raise InvalidInput("the boosted mixture needs n >= 2 classifiers")
     if not 0.0 <= alpha_bat <= 1.0:
         raise InvalidInput("alpha_bat must lie in [0, 1]")
-
-    def default_builder(mixture, points, labels):
-        adv, _ = pgd_linf_batch(mixture, points, labels, attack_cfg, box)
-        return adv
-
-    build = adversarial_builder or default_builder
-    train_nat = natural_trainer or (
-        lambda d, c: train_natural(d, c, box=box)[0]
-    )
+    if first_candidates < 1:
+        raise InvalidInput(f"first_candidates must be >= 1, got {first_candidates}")
 
     candidates = []
     for k in range(first_candidates):
@@ -237,10 +220,10 @@ def bat(data: EmpiricalMeasure, n: int, alpha_bat: float, cfg: TrainConfig,
     weights = (1.0,)
     for i in range(2, n + 1):
         mixture = MixedClassifier(tuple(hyps), weights)
-        adv_points = build(mixture, data.points, data.labels)
+        adv_points, _ = pgd_linf_batch(mixture, data.points, data.labels, attack_cfg, box)
         d_tilde = EmpiricalMeasure(adv_points, data.labels, data.seed)
         sub = TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + 17 * i})
-        hyps.append(Mlp(train_nat(d_tilde, sub)))
+        hyps.append(Mlp(train_natural(d_tilde, sub, box=box)[0]))
         weights = tuple(w * (1.0 - alpha_bat) for w in weights) + (alpha_bat,)
     total = sum(weights)
     weights = tuple(w / total for w in weights)

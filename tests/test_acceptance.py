@@ -20,7 +20,6 @@ from advgame.game import (
     OVERSHOOT,
     adversarial_score,
     best_response_attack,
-    discretized_score,
     pointwise_attack_oracle,
     score_decomposition,
 )
@@ -31,6 +30,7 @@ from advgame.theorems import (
     verify_no_pure_nash,
     weak_duality_grid,
 )
+from quadrature_oracle import discretized_score
 
 SPEC = ag.two_gaussians_1d()
 THRESH = ag.Threshold(0.0)
@@ -177,9 +177,9 @@ def test_criterion_5_gradient_suite():
             w = net.weights[layer]
             i, j = int(rng.integers(w.shape[0])), int(rng.integers(w.shape[1]))
             w[i, j] += step
-            lp = float(nets.loss_and_grads(net, x, y, need_input_grad=False)[0][0])
+            lp = float(nets.loss_and_grads(net, x, y)[0][0])
             w[i, j] -= 2 * step
-            lm = float(nets.loss_and_grads(net, x, y, need_input_grad=False)[0][0])
+            lm = float(nets.loss_and_grads(net, x, y)[0][0])
             w[i, j] += step
             fd = (lp - lm) / (2 * step)
             rel = abs(fd - grads[layer][0][i, j]) / max(abs(fd), 1e-7)

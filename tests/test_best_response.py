@@ -14,15 +14,14 @@ from advgame.game import (
     best_response_attack,
     best_response_defender,
     check_budget,
-    discretized_score,
     oracle_attack_points_1d,
     oracle_value_profiles,
-    oracle_values_1d,
     pointwise_attack_oracle,
     transported_measure,
 )
 from advgame.hypotheses import Binned2D, Interval1D, MixedClassifier, Mlp, interval_form
 from advgame import nets
+from quadrature_oracle import discretized_score
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +64,7 @@ def test_attack_images_land_on_boundary_within_budget(spec_1d, cfg_norm):
         assert np.all(np.abs(h.decision_values(out[moved])) <= 1e-12)
         assert np.all(np.abs(out - xs)[moved] <= cfg_norm.epsilon + 1e-12)
         # points outside the attackable band are fixed
-        pos_band, neg_band = ag.attackable_region(h, cfg_norm.epsilon)
-        band = pos_band if label == 1 else neg_band
+        band = ag.BandRegion(h, cfg_norm.epsilon, label)
         outside = ~band.contains_many(xs)
         assert not moved[outside].any()
 
@@ -161,7 +159,7 @@ def test_closed_form_never_beaten_on_sampled_points(spec_1d, cfg_mass, cfg_norm)
     xs = rng.uniform(-2, 2, 256)
     wrong = (h.predicts(xs.reshape(-1, 1)) != 1).astype(float)
     for cfg in (cfg_mass, cfg_norm):
-        vals = oracle_values_1d(h, xs, 1, cfg, grid_n=4097)
+        vals = oracle_value_profiles(h, xs, cfg, grid_n=4097)[1]
         if cfg.penalty == "norm":
             zone_val = np.where((xs > 0) & (xs <= 0.5), 1 - cfg.lam * xs, 0.0)
         else:

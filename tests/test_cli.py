@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +214,45 @@ def test_train_bat_evaluate_alpha_grid_pipeline(tmp_path):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["risk", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def _set_in(path, section, key, value):
+    raw = json.loads(Path(path).read_text())
+    raw[section][key] = value
+    Path(path).write_text(json.dumps(raw))
+    return path
+
+
+def test_empty_lr_stages_exits_2(tmp_path, capsys):
+    cfg = _set_in(_training_config(tmp_path), "train", "lr_stages", [])
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "lr_stages" in capsys.readouterr().err
+
+
+def test_zero_first_candidates_exits_2(tmp_path, capsys):
+    cfg = _training_config(tmp_path, bat={"n": 2, "first_candidates": 0})
+    assert cli.main(["bat", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "first_candidates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", [[0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0, 2.0]])
+def test_malformed_box_exits_2(tmp_path, capsys, box):
+    cfg = _set_in(_training_config(tmp_path), "attack", "box", box)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "attack.box" in capsys.readouterr().err
+
+
+def test_cw_seed_is_an_unknown_field(tmp_path, capsys):
+    # C&W has no random start, so a seed for it would be silently ignored
+    cfg = _set_in(_training_config(tmp_path, models=[{"name": "m", "path": "unused.json"}]),
+                  "attack", "cw", {"iters": 20, "seed": 3})
+    assert cli.main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown fields in attack.cw" in capsys.readouterr().err
+
+
+def test_shipped_game_config_runs_every_game_subcommand(tmp_path):
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "game_1d.json")
+    for sub in ("risk", "score", "best-response", "no-nash", "rand-gap", "fig1"):
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0, sub
+    for name in ("original", "none", "mass", "norm", "atoms"):
+        assert (tmp_path / "fig1" / f"fig1_{name}.csv").is_file()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import advgame as ag
 from advgame import distributions as dist
 from advgame.errors import BudgetViolation, InvalidInput, UnsupportedDimension
 from advgame.game import IdentityAttack, PointwiseAttack
+from quadrature_oracle import GridSpec, integrate
 
 
 def test_density_standard_normal_at_mode():
@@ -94,7 +96,7 @@ def test_monte_carlo_expectation_within_statistical_band(spec_1d_mix):
     m = ag.sample_labeled(spec_1d_mix, n, seed=17)
     pos = m.points[m.labels == 1]
     mc = float(np.tanh(pos[:, 0]).mean())
-    exact = ag.integrate(f, spec_1d_mix, 1)
+    exact = integrate(f, spec_1d_mix, 1)
     assert abs(mc - exact) < 5 * 2 / math.sqrt(len(pos))
 
 
@@ -143,7 +145,7 @@ def test_pushforward_preserves_count_and_labels(spec_1d, cfg_mass):
 
 def test_integrate_normalization(spec_1d_mix):
     for label in (1, -1):
-        val = ag.integrate(lambda pts: np.ones(pts.shape[0]), spec_1d_mix, label)
+        val = integrate(lambda pts: np.ones(pts.shape[0]), spec_1d_mix, label)
         assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -159,27 +161,27 @@ def _half_indicator(threshold):
 
 def test_integrate_indicator_matches_gaussian_cdf(spec_1d):
     # grid with a node exactly at the jump: (-7, 9) at 2^14+1 puts 0 on a node
-    grid = ag.GridSpec(resolution=2 ** 14 + 1, bounds=((-7.0, 9.0),))
-    val = ag.integrate(_half_indicator(0.0), spec_1d, 1, grid)
+    grid = GridSpec(resolution=2 ** 14 + 1, bounds=((-7.0, 9.0),))
+    val = integrate(_half_indicator(0.0), spec_1d, 1, grid)
     assert val == pytest.approx(norm.cdf(1.0), abs=1e-6)
-    sym = ag.integrate(
+    sym = integrate(
         _half_indicator(0.0),
         ag.two_gaussians_1d(mean_pos=0.0),
         1,
-        ag.GridSpec(resolution=2 ** 14 + 1, bounds=((-8.0, 8.0),)),
+        GridSpec(resolution=2 ** 14 + 1, bounds=((-8.0, 8.0),)),
     )
     assert sym == pytest.approx(0.5, abs=1e-8)
 
 
 def test_integrate_doubling_self_check(spec_1d):
     f = lambda pts: np.cos(pts[:, 0])
-    lo = ag.integrate(f, spec_1d, 1, ag.GridSpec(resolution=2 ** 14))
-    hi = ag.integrate(f, spec_1d, 1, ag.GridSpec(resolution=2 ** 15))
+    lo = integrate(f, spec_1d, 1, GridSpec(resolution=2 ** 14))
+    hi = integrate(f, spec_1d, 1, GridSpec(resolution=2 ** 15))
     assert abs(hi - lo) < 1e-6
 
 
 def test_integrate_2d_and_dimension_guard(spec_2d):
-    val = ag.integrate(lambda pts: np.ones(pts.shape[0]), spec_2d, -1)
+    val = integrate(lambda pts: np.ones(pts.shape[0]), spec_2d, -1)
     assert val == pytest.approx(1.0, abs=1e-6)
     spec3 = ag.DistributionSpec(
         0.5, 3,
@@ -187,11 +189,11 @@ def test_integrate_2d_and_dimension_guard(spec_2d):
         (ag.GaussianComponent(1.0, (1.0,) * 3, (1.0,) * 3),),
     )
     with pytest.raises(UnsupportedDimension):
-        ag.integrate(lambda pts: np.ones(pts.shape[0]), spec3, 1)
+        integrate(lambda pts: np.ones(pts.shape[0]), spec3, 1)
 
 
 # grid whose nodes land exactly on the interval endpoints used below
-_ALIGNED = ag.GridSpec(resolution=16001, bounds=((-10.0, 10.0),))
+_ALIGNED = GridSpec(resolution=16001, bounds=((-10.0, 10.0),))
 
 
 def _window(lo, hi):
@@ -205,13 +207,13 @@ def _window(lo, hi):
 
 def test_interval_mass_matches_quadrature(spec_1d_mix):
     exact = dist.interval_mass(spec_1d_mix, 1, [(-1.0, 0.5)])
-    quad = ag.integrate(_window(-1.0, 0.5), spec_1d_mix, 1, _ALIGNED)
+    quad = integrate(_window(-1.0, 0.5), spec_1d_mix, 1, _ALIGNED)
     assert exact == pytest.approx(quad, abs=1e-7)
 
 
 def test_interval_abs_moment_matches_quadrature(spec_1d_mix):
     exact = dist.interval_abs_moment(spec_1d_mix, -1, [(-0.5, 1.0)], 0.2)
-    quad = ag.integrate(
+    quad = integrate(
         lambda pts: np.abs(pts[:, 0] - 0.2) * _window(-0.5, 1.0)(pts),
         spec_1d_mix, -1, _ALIGNED,
     )
@@ -233,7 +235,7 @@ def test_density_nonnegative_and_normalized(mean, var, prior):
     xs = np.linspace(mean - 10, mean + 10, 201).reshape(-1, 1)
     d = np.asarray(ag.density(spec, 1, xs))
     assert np.all(d >= 0)
-    assert ag.integrate(lambda pts: np.ones(pts.shape[0]), spec, 1) == pytest.approx(1.0, abs=1e-6)
+    assert integrate(lambda pts: np.ones(pts.shape[0]), spec, 1) == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +262,8 @@ def test_bayes_roots_find_island_narrower_than_scan():
 
 
 def test_spec_json_roundtrip(spec_1d_mix):
-    text = dist.spec_to_json(spec_1d_mix)
-    back = dist.spec_from_json(text)
+    text = json.dumps(dist.spec_to_dict(spec_1d_mix))
+    back = dist.spec_from_dict(json.loads(text))
     assert back == spec_1d_mix
 
 

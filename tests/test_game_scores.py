@@ -16,6 +16,7 @@ from advgame.game import (
     score_decomposition,
     worst_case_score,
 )
+from quadrature_oracle import GridSpec, integrate
 
 
 def test_game_config_validation():
@@ -101,10 +102,10 @@ def test_penalty_norm_matches_quadrature_oracle(spec_1d, cfg_norm):
     # nu1 * int_0^0.5 x dmu1 + nu-1 * int_-0.5^0 |x| dmu-1, by the trapezoid oracle
     attack = ag.best_response_attack(ag.Threshold(0.0), spec_1d, cfg_norm)
     got = penalty_value(attack, spec_1d, cfg_norm)
-    grid = ag.GridSpec(resolution=16001, bounds=((-10.0, 10.0),))
-    pos = ag.integrate(
+    grid = GridSpec(resolution=16001, bounds=((-10.0, 10.0),))
+    pos = integrate(
         lambda pts: np.abs(pts[:, 0]) * _window(0.0, 0.5)(pts), spec_1d, 1, grid)
-    neg = ag.integrate(
+    neg = integrate(
         lambda pts: np.abs(pts[:, 0]) * _window(-0.5, 0.0)(pts), spec_1d, -1, grid)
     assert got == pytest.approx(0.5 * pos + 0.5 * neg, abs=1e-6)
 

@@ -93,7 +93,8 @@ def test_bayes_degenerate_prior_limit():
 # ---------------------------------------------------------------------------
 
 def test_attackable_region_threshold_intervals():
-    pos, neg = ag.attackable_region(ag.Threshold(0.0), 0.5)
+    h = ag.Threshold(0.0)
+    pos, neg = ag.BandRegion(h, 0.5, 1), ag.BandRegion(h, 0.5, -1)
     assert pos.intervals() == [(0.0, 0.5)]
     assert neg.intervals() == [(-0.5, 0.0)]
     assert pos.contains(np.array([0.25]))
@@ -105,7 +106,8 @@ def test_attackable_region_threshold_intervals():
 
 
 def test_attackable_region_zero_budget():
-    pos, neg = ag.attackable_region(ag.Threshold(0.0), 0.0)
+    h = ag.Threshold(0.0)
+    pos, neg = ag.BandRegion(h, 0.0, 1), ag.BandRegion(h, 0.0, -1)
     assert pos.intervals() == []
     xs = np.linspace(-1, 1, 41).reshape(-1, 1)
     assert not pos.contains_many(xs).any()
@@ -116,13 +118,13 @@ def test_attackable_region_linear_band_distance():
     # membership governed by the point-to-hyperplane distance |g| / ||w||_2
     w = (3.0, 4.0)  # norm 5
     h = ag.Linear(w, 0.0)
-    pos, _ = ag.attackable_region(h, 0.5, "l2")
+    pos = ag.BandRegion(h, 0.5, 1, "l2")
     inside = np.array([0.3, 0.4]) * 0.9  # g = 2.25, dist = 0.45 <= 0.5
     outside = np.array([0.3, 0.4]) * 1.2  # dist = 0.6
     assert pos.contains(inside)
     assert not pos.contains(outside)
     # l-inf distance uses the dual (l1) norm of w
-    pos_inf, _ = ag.attackable_region(h, 0.5, "linf")
+    pos_inf = ag.BandRegion(h, 0.5, 1, "linf")
     x = np.array([0.3, 0.4])  # g = 2.5, linf dist = 2.5/7
     assert pos_inf.contains(x)
     assert not pos_inf.contains(1.5 * x)
@@ -132,8 +134,7 @@ def test_attackable_region_monotone_in_delta():
     h = ag.Threshold(0.2)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-2, 2, (200, 1))
-    small, _ = ag.attackable_region(h, 0.3)
-    large, _ = ag.attackable_region(h, 0.8)
+    small, large = ag.BandRegion(h, 0.3, 1), ag.BandRegion(h, 0.8, 1)
     inside_small = small.contains_many(xs)
     inside_large = large.contains_many(xs)
     assert np.all(~inside_small | inside_large)
@@ -143,7 +144,7 @@ def test_attackable_region_mlp_membership(spec_2d):
     # mlp kind has no closed geometry: membership via the ball search
     net = nets.init_mlp((2, 8, 2), seed=0)
     h = ag.Mlp(net)
-    pos, neg = ag.attackable_region(h, 0.3)
+    pos, neg = ag.BandRegion(h, 0.3, 1), ag.BandRegion(h, 0.3, -1)
     rng = np.random.default_rng(1)
     xs = rng.uniform(0, 1, (20, 2))
     got = pos.contains_many(xs)

@@ -3,7 +3,10 @@ import importlib.util
 import os
 import sys
 
-from advgame.experiments import BatBenchmarkRow
+import pytest
+
+from advgame.errors import InvalidInput
+from advgame.experiments import BatBenchmarkRow, bat_vs_at, satellite_task
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -32,3 +35,18 @@ def test_bat_benchmark_creates_missing_out_dir_before_seeds_run(tmp_path, monkey
         rows = list(csv.reader(fh))
     assert rows[0][0] == "seed"
     assert [r[0] for r in rows[1:]] == ["3", "7"]
+
+
+def test_bat_benchmark_rejects_zero_candidates(monkeypatch, capsys):
+    script = load_script("run_bat_benchmark")
+    monkeypatch.setattr(script, "bat_vs_at_benchmark", None)  # must not be reached
+    monkeypatch.setattr(sys, "argv", ["run_bat_benchmark.py", "--candidates", "0"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert "--candidates" in capsys.readouterr().err
+
+
+def test_bat_vs_at_rejects_zero_candidates():
+    with pytest.raises(InvalidInput, match="first_candidates"):
+        bat_vs_at(satellite_task(), 0, first_candidates=0)

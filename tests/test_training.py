@@ -9,7 +9,7 @@ import advgame as ag
 from advgame import attacks, nets, training
 from advgame.errors import ConfigError, InvalidInput
 from advgame.hypotheses import MixedClassifier, Mlp
-from advgame.training import TrainConfig, bat_weights
+from advgame.training import TrainConfig
 
 
 @pytest.fixture
@@ -62,9 +62,9 @@ def _fd_param_check(net, X, Y, rel_tol=1e-4, step=1e-5, n_probe=25, rng=None):
         w = net.weights[layer]
         i, j = rng.integers(w.shape[0]), rng.integers(w.shape[1])
         w[i, j] += step
-        lp = nets.loss_and_grads(net, X, Y, need_input_grad=False)[0].sum()
+        lp = nets.loss_and_grads(net, X, Y)[0].sum()
         w[i, j] -= 2 * step
-        lm = nets.loss_and_grads(net, X, Y, need_input_grad=False)[0].sum()
+        lm = nets.loss_and_grads(net, X, Y)[0].sum()
         w[i, j] += step
         fd = (lp - lm) / (2 * step)
         got = grads[layer][0][i, j]
@@ -225,28 +225,50 @@ def test_trace_csv(tmp_path, blobs_2d):
 # BAT
 # ---------------------------------------------------------------------------
 
+_TINY = ag.EmpiricalMeasure(np.array([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]]),
+                             np.array([-1, 1, 1]))
+
+
+def stand_ins(mp, attack=lambda mixture, points, labels: points,
+              trainer=lambda d, cfg: nets.init_mlp((2, 4, 2), seed=1)):
+    """Swap bat's trainers and attack for stand-ins: no SGD and no PGD run."""
+    mp.setattr(training, "train_adversarial",
+               lambda data, cfg, attack_cfg, box: (nets.init_mlp((2, 4, 2), seed=0), []))
+    mp.setattr(training, "pgd_linf_batch",
+               lambda mixture, X, Y, attack_cfg, box: (attack(mixture, X, Y), None))
+    mp.setattr(training, "train_natural", lambda d, cfg, box: (trainer(d, cfg), []))
+
+
+def stand_in_bat_weights(n, alpha):
+    with pytest.MonkeyPatch.context() as mp:
+        stand_ins(mp)
+        mix = training.bat(_TINY, n=n, alpha_bat=alpha, cfg=quick_cfg(epochs=1),
+                           attack_cfg=ag.PgdConfig(0.05, 0.02, 2))
+    return mix.weights
+
+
 def test_bat_weight_updates():
-    assert bat_weights(2, 0.2) == pytest.approx((0.8, 0.2))
+    assert stand_in_bat_weights(2, 0.2) == pytest.approx((0.8, 0.2))
     # apply the update rule twice by hand: (0.64, 0.16, 0.2)
-    assert bat_weights(3, 0.2) == pytest.approx((0.64, 0.16, 0.2))
-    assert bat_weights(2, 0.0) == pytest.approx((1.0, 0.0))
+    assert stand_in_bat_weights(3, 0.2) == pytest.approx((0.64, 0.16, 0.2))
+    assert stand_in_bat_weights(2, 0.0) == pytest.approx((1.0, 0.0))
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 6), alpha=st.floats(0.0, 1.0))
 def test_bat_weights_always_a_distribution(n, alpha):
-    w = bat_weights(n, alpha)
+    w = stand_in_bat_weights(n, alpha)
     assert len(w) == n
     assert all(v >= 0 for v in w)
     assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bat_structure_matches_two_step_algorithm(blobs_2d):
-    # with mocked hooks, n=2 reduces exactly to: adversarially train h1,
+def test_bat_structure_matches_two_step_algorithm(blobs_2d, monkeypatch):
+    # with stand-ins, n=2 reduces exactly to: adversarially train h1,
     # build the adversarial set against h1, naturally train h2, mix (1-a, a)
     calls = {}
 
-    def fake_builder(mixture, points, labels):
+    def fake_attack(mixture, points, labels):
         calls["mixture_len"] = len(mixture)
         calls["weights"] = tuple(mixture.weights)
         return points + 0.01
@@ -256,10 +278,9 @@ def test_bat_structure_matches_two_step_algorithm(blobs_2d):
         calls["labels"] = d.labels.copy()
         return nets.init_mlp((2, 4, 2), seed=99)
 
+    stand_ins(monkeypatch, fake_attack, fake_trainer)
     mix = training.bat(blobs_2d, n=2, alpha_bat=0.2, cfg=quick_cfg(epochs=2),
-                       attack_cfg=ag.PgdConfig(0.05, 0.02, 2),
-                       adversarial_builder=fake_builder,
-                       natural_trainer=fake_trainer)
+                       attack_cfg=ag.PgdConfig(0.05, 0.02, 2))
     assert calls["mixture_len"] == 1  # D-tilde is built against h1 alone
     assert calls["weights"] == (1.0,)
     assert np.array_equal(calls["trained_points"], blobs_2d.points + 0.01)
@@ -267,17 +288,16 @@ def test_bat_structure_matches_two_step_algorithm(blobs_2d):
     assert mix.weights == pytest.approx((0.8, 0.2))
 
 
-def test_bat_n3_weights_and_running_mixture(blobs_2d):
+def test_bat_n3_weights_and_running_mixture(blobs_2d, monkeypatch):
     seen = []
 
-    def fake_builder(mixture, points, labels):
+    def fake_attack(mixture, points, labels):
         seen.append(tuple(round(w, 6) for w in mixture.weights))
         return points
 
+    stand_ins(monkeypatch, fake_attack)
     mix = training.bat(blobs_2d, n=3, alpha_bat=0.2, cfg=quick_cfg(epochs=1),
-                       attack_cfg=ag.PgdConfig(0.05, 0.02, 2),
-                       adversarial_builder=fake_builder,
-                       natural_trainer=lambda d, cfg: nets.init_mlp((2, 4, 2), seed=1))
+                       attack_cfg=ag.PgdConfig(0.05, 0.02, 2))
     assert seen == [(1.0,), (0.8, 0.2)]  # attacks target the running mixture
     assert mix.weights == pytest.approx((0.64, 0.16, 0.2))
 
