@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nets
 from .errors import ConfigError, UnsupportedKind
-from .hypotheses import Hypothesis, Linear, MixedClassifier, Mlp, as_mixture, three_sign
+from .hypotheses import Linear, Mlp, as_mixture, three_sign
 
 
 @dataclass(frozen=True)
@@ -73,81 +73,83 @@ ATTACK_PRESETS = {
 # Differentiable-model plumbing
 # ---------------------------------------------------------------------------
 
-def _require_differentiable(model) -> MixedClassifier:
+@dataclass(frozen=True)
+class _Batched:
+    weights: tuple[float, ...]
+    parts: tuple  # (model, index into the component axis) pairs
+
+
+def _batched(model) -> _Batched:
+    """The components grouped once per attack call: Mlps that share sizes and
+    slope as one :func:`nets.stack` at an array of component positions, a lone
+    Mlp as its own net and a Linear as itself, each at its position. A stack
+    copies the weights, so it is never cached: SGD updates nets in place."""
+    if isinstance(model, _Batched):
+        return model
     mix = as_mixture(model)
-    for h in mix.hypotheses:
+    groups: dict = {}
+    for k, h in enumerate(mix.hypotheses):
         if not isinstance(h, (Linear, Mlp)):
             raise UnsupportedKind(
-                f"{type(h).__name__} is not differentiable; attacks need linear or mlp kinds"
-            )
-    return mix
+                f"{type(h).__name__} is not differentiable; attacks need linear or mlp kinds")
+        groups.setdefault((h.net.sizes, h.net.slope) if isinstance(h, Mlp) else k, []).append(k)
+    parts = []
+    for idx in groups.values():
+        h = mix.hypotheses[idx[0]]
+        if len(idx) == 1:
+            parts.append((h if isinstance(h, Linear) else h.net, idx[0]))
+        else:
+            parts.append((nets.stack([mix.hypotheses[k].net for k in idx]), np.array(idx)))
+    return _Batched(mix.weights, tuple(parts))
 
 
-def _component_logits(h: Hypothesis, X: np.ndarray):
-    """One forward pass: the logit pair and what its VJP needs (the net's
-    forward cache for an Mlp, nothing for a Linear)."""
-    if isinstance(h, Linear):
-        g = h.decision_values(X)
-        return np.column_stack([-g, g]), None
-    if isinstance(h, Mlp):
-        cache = nets.forward_cached(h.net, X)
-        return nets.logit_pair_from_output(cache[0]), cache
-    raise UnsupportedKind(type(h).__name__)
+def _forward(mix: _Batched, X: np.ndarray):
+    """The (K, n, 2) logit pairs in component order and each part's forward
+    cache (None for a Linear)."""
+    pairs = np.empty((len(mix.weights), X.shape[0], 2))
+    caches = []
+    for part, idx in mix.parts:
+        cache = None if isinstance(part, Linear) else nets.forward_cached(part, X)
+        out = part.decision_values(X)[:, None] if cache is None else cache[0]
+        pairs[idx] = nets.logit_pair_from_output(out)
+        caches.append(cache)
+    return pairs, caches
 
 
-def _component_logit_vjp(h: Hypothesis, cache, dpair: np.ndarray) -> np.ndarray:
-    """Input gradient of sum(dpair * logit_pair(X)), from the forward's cache."""
-    if isinstance(h, Linear):
-        dg = dpair[:, 1] - dpair[:, 0]
-        return dg[:, None] * np.asarray(h.w)[None, :]
-    if isinstance(h, Mlp):
-        out_dim = h.net.out_dim
-        dout = dpair if out_dim == 2 else (dpair[:, 1] - dpair[:, 0]).reshape(-1, 1)
-        _, dX = nets.backward(h.net, cache, dout, need_param_grads=False)
-        return dX
-    raise UnsupportedKind(type(h).__name__)
-
-
-def _expected_pair(weights, pairs) -> np.ndarray:
-    out = np.zeros_like(pairs[0])
-    for q, pair in zip(weights, pairs):
-        out += q * pair
+def _weighted_sum(weights, values) -> np.ndarray:
+    """sum_k q_k * values[k], added in component order (the order sets the bits)."""
+    out = np.zeros_like(values[0])
+    for q, v in zip(weights, values):
+        out += q * v
     return out
 
 
-def _pair_errors(weights, pairs, Y) -> np.ndarray:
-    """Expected error from the per-component logit pairs, with the boundary
-    rule of ``MixedClassifier.expected_errors``: a zero margin errs on both
-    labels. A Linear pair's margin is 2g, so its sign is g's."""
-    out = np.zeros(len(Y))
-    for q, pair in zip(weights, pairs):
-        out += q * (three_sign(pair[:, 1] - pair[:, 0]) != Y)
-    return out
+def _pair_errors(weights, pairs: np.ndarray, Y) -> np.ndarray:
+    """Expected error from the (K, n, 2) per-component logit pairs, with the
+    boundary rule of ``MixedClassifier.expected_errors``: a zero margin errs
+    on both labels. A Linear pair's margin is 2g, so its sign is g's."""
+    return _weighted_sum(weights, (three_sign(pairs[..., 1] - pairs[..., 0]) != Y) * 1.0)
 
 
 def model_logits(model, X: np.ndarray) -> np.ndarray:
     """Exact expected logit pair of the model at each row of X."""
-    mix = _require_differentiable(model)
+    mix = _batched(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _expected_pair(mix.weights, [_component_logits(h, X)[0] for h in mix.hypotheses])
+    return _weighted_sum(mix.weights, _forward(mix, X)[0])
 
 
-def _eot_value(mix: MixedClassifier, X: np.ndarray, Y: np.ndarray, mode: str, loss):
+def _eot_value(mix: _Batched, X: np.ndarray, Y: np.ndarray, mode: str, loss):
     """The forward half of :func:`_eot_objective`: the per-sample value, its
-    derivative with respect to each component's logit pair, and the
-    per-component logit pairs with their forward caches. No backward pass runs.
+    derivative with respect to each component's logit pair (K, n, 2), and the
+    (K, n, 2) logit pairs with the forward caches. No backward pass runs.
     """
-    pairs, caches = zip(*(_component_logits(h, X) for h in mix.hypotheses))
+    pairs, caches = _forward(mix, X)
     if mode == "eot_logits":
-        value, dpair = loss(_expected_pair(mix.weights, pairs), Y)
-        dpairs = [dpair] * len(mix)
+        value, dpair = loss(_weighted_sum(mix.weights, pairs), Y)
+        dpairs = np.repeat(dpair[None], len(pairs), axis=0)
     elif mode == "eot_loss":
-        value = np.zeros(X.shape[0])
-        dpairs = []
-        for q, pair in zip(mix.weights, pairs):
-            v, dpair = loss(pair, Y)
-            value += q * v
-            dpairs.append(dpair)
+        values, dpairs = loss(pairs, Y)
+        value = _weighted_sum(mix.weights, values)
     else:
         raise ConfigError(f"unknown EOT mode {mode!r}")
     return value, dpairs, pairs, caches
@@ -155,22 +157,27 @@ def _eot_value(mix: MixedClassifier, X: np.ndarray, Y: np.ndarray, mode: str, lo
 
 def _eot_objective(model, X: np.ndarray, Y, mode: str, loss):
     """Per-sample objective of the logit pairs, its input gradient, and the
-    per-component logit pairs it was computed from.
+    (K, n, 2) per-component logit pairs it was computed from.
 
     loss(pair, Y) returns the per-sample value and its derivative with respect
-    to the logit pair. Mode "eot_logits" applies it to the expected logits;
-    mode "eot_loss" takes the expectation of the per-component values. Both
-    coincide for deterministic models. Each component runs forward once; its
-    VJP reuses that pass.
+    to the logit pair, and works on a leading component axis. Mode
+    "eot_logits" applies it to the expected logits; mode "eot_loss" takes the
+    expectation of the per-component values. Both coincide for deterministic
+    models. Each part runs forward once; its backward reuses that pass.
     """
-    mix = _require_differentiable(model)
+    mix = _batched(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
     value, dpairs, pairs, caches = _eot_value(mix, X, Y, mode, loss)
-    grad = np.zeros_like(X)
-    for q, h, cache, dpair in zip(mix.weights, mix.hypotheses, caches, dpairs):
-        grad += q * _component_logit_vjp(h, cache, dpair)
-    return value, grad, pairs
+    dX = np.empty((len(mix.weights),) + X.shape)  # each component's VJP
+    for (part, idx), cache in zip(mix.parts, caches):
+        dpair = dpairs[idx]
+        if cache is None:  # Linear
+            dX[idx] = (dpair[:, 1] - dpair[:, 0])[:, None] * np.asarray(part.w)
+        else:
+            dout = dpair if part.out_dim == 2 else (dpair[..., 1] - dpair[..., 0])[..., None]
+            dX[idx] = nets.backward(part, cache, dout, need_param_grads=False)[1]
+    return value, _weighted_sum(mix.weights, dX), pairs
 
 
 def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
@@ -209,7 +216,7 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
     Each restart contributes only its final iterate, scored by a forward pass
     alone. Returns (adversarial points, per-sample best losses).
     """
-    mix = _require_differentiable(model)
+    mix = _batched(model)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
     eps = cfg.epsilon_inf
@@ -223,7 +230,7 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
         init = rng.uniform(-eps, eps, X.shape) if cfg.random_init else 0.0
         x_adv = _clip_box(X + init, box)
         for _ in range(cfg.iters):
-            _, grad = loss_and_input_grad(model, x_adv, Y, mode)
+            _, grad = loss_and_input_grad(mix, x_adv, Y, mode)
             x_adv = x_adv + cfg.step * np.sign(grad)
             x_adv = np.clip(x_adv, X - eps, X + eps)
             x_adv = _clip_box(x_adv, box)
@@ -240,13 +247,10 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
 
 def _cw_hinge(pair: np.ndarray, Y: np.ndarray):
     """Carlini-Wagner margin cost max(z_true - z_other, 0) and its d/d pair."""
-    idx_true = (Y == 1).astype(int)
-    z_true = pair[np.arange(len(Y)), idx_true]
-    z_other = pair[np.arange(len(Y)), 1 - idx_true]
-    margin = z_true - z_other
+    margin = np.where(Y == 1, pair[..., 1] - pair[..., 0], pair[..., 0] - pair[..., 1])
     active = margin > 0
     sgn = np.where(Y == 1, 1.0, -1.0) * active  # d margin / d (z_pos - z_neg)
-    return np.maximum(margin, 0.0), np.column_stack([-sgn, sgn])
+    return np.maximum(margin, 0.0), np.stack([-sgn, sgn], axis=-1)
 
 
 def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
@@ -263,7 +267,7 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
     Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],)).copy()
     if box is None:
         raise ConfigError("C&W needs a box domain for the tanh change of variable")
-    mix = _require_differentiable(model)
+    mix = _batched(model)
     lo, hi = float(box[0]), float(box[1])
     scale, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
     n = X.shape[0]

@@ -30,6 +30,8 @@ _EVAL_KEYS = {"method", "n", "seed"}
 _DATA_KEYS = {"n_train", "n_test", "seed", "csv"}
 _TRAIN_KEYS = {"mode", "epochs", "batch_size", "lr_stages", "momentum",
                "weight_decay", "seed", "sizes"}
+_TRAIN_FIELDS = {"epochs": int, "batch_size": int, "momentum": float, "weight_decay": float,
+                 "seed": int, "lr_stages": lambda v: tuple((int(e), float(lr)) for e, lr in v)}
 _PGD_KEYS = {"preset", "epsilon_inf", "step", "iters", "restarts", "random_init", "seed"}
 _CW_KEYS = {"preset", "lr", "binary_search_steps", "initial_const", "iters",
             "abort_early"}
@@ -98,25 +100,26 @@ def _parse_cw(raw: dict) -> attacks.CwConfig:
     )
 
 
+def _converted(field: str, value, convert):
+    """convert(value); a value of the wrong type or shape is a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} has the wrong type or shape: {value!r}") from None
+
+
 def _parse_train(raw: dict, preset: str | None) -> tuple[str, training.TrainConfig]:
     _reject_unknown(raw, _TRAIN_KEYS, "train")
     mode = raw.get("mode", "natural")
     if mode not in ("natural", "adversarial"):
         raise ConfigError("train.mode must be 'natural' or 'adversarial'")
-    sizes = tuple(int(s) for s in raw.get("sizes", (2, 32, 32, 2)))
+    sizes = _converted("train.sizes", raw.get("sizes", (2, 32, 32, 2)),
+                       lambda v: tuple(int(s) for s in v))
     base = (training.train_paper_preset(sizes) if preset == "paper"
             else training.train_desk_preset(sizes))
-    cfg = training.TrainConfig(
-        epochs=int(raw.get("epochs", base.epochs)),
-        batch_size=int(raw.get("batch_size", base.batch_size)),
-        lr_stages=tuple((int(e), float(lr)) for e, lr in
-                        raw.get("lr_stages", base.lr_stages)),
-        momentum=float(raw.get("momentum", base.momentum)),
-        weight_decay=float(raw.get("weight_decay", base.weight_decay)),
-        seed=int(raw.get("seed", base.seed)),
-        sizes=sizes,
-    )
-    return mode, cfg
+    fields = {key: _converted(f"train.{key}", raw.get(key, getattr(base, key)), convert)
+              for key, convert in _TRAIN_FIELDS.items()}
+    return mode, training.TrainConfig(sizes=sizes, **fields)
 
 
 def _load_data(cfg: dict, spec) -> tuple:
@@ -144,9 +147,14 @@ def _box(cfg: dict):
     box = cfg.get("attack", {}).get("box", [0.0, 1.0])
     if box is None:
         return None
-    if not isinstance(box, list) or len(box) != 2 or not float(box[0]) < float(box[1]):
+    try:
+        lo, hi = (float(v) for v in box)
+        ok = isinstance(box, list) and lo < hi
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise ConfigError(f"attack.box must be null or [lo, hi] with lo < hi, got {box}")
-    return float(box[0]), float(box[1])
+    return lo, hi
 
 
 def _config_hash(resolved: dict) -> str:

@@ -6,7 +6,9 @@ computed from the logit margin z[+1] - z[-1], which makes it invariant to
 adding a constant to both logits by construction. ``forward_cached`` returns
 the output together with the cache that ``backward`` consumes, so a gradient
 runs the net forward once: callers read their logits from that output and
-pass the same cache on.
+pass the same cache on. Both passes broadcast over a leading stack axis: a
+:func:`stack` of K same-shape nets runs with one batched matmul per layer, and
+each net's slice of the result is bit-identical to running that net alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ LEAKY_SLOPE = 0.1
 
 @dataclass
 class MlpModel:
-    """weights[i] has shape (fan_in, fan_out); scalar or two-logit output."""
+    """weights[i] has shape (fan_in, fan_out), or (K, fan_in, fan_out) on a
+    stack of K nets; scalar or two-logit output."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -38,15 +41,15 @@ class MlpModel:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+        return tuple([self.in_dim] + [w.shape[-1] for w in self.weights])
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights],
@@ -64,6 +67,15 @@ def init_mlp(sizes, seed: int, slope: float = LEAKY_SLOPE) -> MlpModel:
         weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
         biases.append(np.zeros(fan_out))
     return MlpModel(weights, biases, slope)
+
+
+def stack(models) -> MlpModel:
+    """K nets with equal sizes and slope as one stacked net (weights copied)."""
+    sizes, slope = models[0].sizes, models[0].slope
+    if any(m.sizes != sizes or m.slope != slope for m in models):
+        raise InvalidInput("stacked nets must share layer sizes and slope")
+    return MlpModel([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                    [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))], slope)
 
 
 def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -91,10 +103,10 @@ def forward_cached(model: MlpModel, X: np.ndarray):
 
 
 def logit_pair_from_output(out: np.ndarray) -> np.ndarray:
-    """(n, 1) scalar g -> logits (-g, +g); (n, 2) passes through."""
-    if out.shape[1] == 1:
-        g = out[:, 0]
-        return np.column_stack([-g, g])
+    """(..., n, 1) scalar g -> logits (-g, +g); (..., n, 2) passes through."""
+    if out.shape[-1] == 1:
+        g = out[..., 0]
+        return np.stack([-g, g], axis=-1)
     return out
 
 
@@ -104,10 +116,10 @@ def ce_loss(logits: np.ndarray, y: np.ndarray):
     y is in {-1, +1}. margin = z_pos - z_neg; loss = log(1 + exp(-y * margin)).
     """
     y = np.asarray(y, dtype=float)
-    margin = logits[:, 1] - logits[:, 0]
+    margin = logits[..., 1] - logits[..., 0]
     loss = np.logaddexp(0.0, -y * margin)
     dmargin = -y * expit(-y * margin)
-    dlogits = np.column_stack([-dmargin, dmargin])
+    dlogits = np.stack([-dmargin, dmargin], axis=-1)
     return loss, dlogits
 
 
@@ -118,7 +130,8 @@ def backward(model: MlpModel, cache, dout: np.ndarray,
     cache is the (output, preactivations, inputs) that ``forward_cached``
     returned for the batch; the forward pass is not run again. Returns
     (param_grads, input_grad); param_grads is a list of (dW, db) pairs summed
-    over the batch, or None if not requested.
+    over the batch, or None if not requested. On a stack of K nets every array
+    has a leading K axis (db is (K, fan_out)), one slice per net.
     """
     out, pres, acts = cache
     if dout.shape != out.shape:
@@ -127,8 +140,8 @@ def backward(model: MlpModel, cache, dout: np.ndarray,
     delta = dout
     for i in reversed(range(len(model.weights))):
         if need_param_grads:
-            grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
-        delta = delta @ model.weights[i].T
+            grads[i] = (acts[i].mT @ delta, delta.sum(axis=-2))
+        delta = delta @ model.weights[i].mT
         if i > 0:
             delta = np.where(pres[i - 1] > 0, delta, model.slope * delta)
     return grads, delta

@@ -14,7 +14,7 @@ from advgame.attacks import (
     pgd_linf_batch,
 )
 from advgame.errors import ConfigError, UnsupportedKind
-from advgame.hypotheses import MixedClassifier, Mlp
+from advgame.hypotheses import MixedClassifier, Mlp, as_mixture
 
 
 @pytest.fixture
@@ -201,6 +201,111 @@ def test_eot_gradient_runs_each_component_forward_once(mlp_model, mode, net_call
     assert net_calls == {"forward_cached": 3, "backward": 3}
 
 
+@pytest.mark.parametrize("mode", ["eot_logits", "eot_loss"])
+def test_same_shape_components_run_as_one_stack(mlp_model, mode, net_calls):
+    comps = (mlp_model, Mlp(nets.init_mlp((2, 16, 16, 2), seed=4)), ag.Linear((0.7, -1.3), -0.1),
+             Mlp(nets.init_mlp((2, 16, 16, 2), seed=5)))
+    m = MixedClassifier(comps, (0.4, 0.3, 0.2, 0.1))
+    X = np.random.default_rng(6).uniform(0, 1, (7, 2))
+    loss_and_input_grad(m, X, np.ones(7, dtype=int), mode)
+    assert net_calls == {"forward_cached": 1, "backward": 1}
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _per_component_ce(comps, weights, X, Y, mode):
+    """Reference CE value, input gradient and expected logits, running every
+    component through its own forward and backward pass."""
+    pairs, grads_of = [], []
+    for h in comps:
+        if isinstance(h, ag.Linear):
+            g = h.decision_values(X)
+            pairs.append(np.column_stack([-g, g]))
+            grads_of.append(lambda dp, h=h: (dp[:, 1] - dp[:, 0])[:, None] * np.asarray(h.w))
+        else:
+            cache = nets.forward_cached(h.net, X)
+            pairs.append(nets.logit_pair_from_output(cache[0]))
+
+            def vjp(dp, h=h, cache=cache):
+                dout = dp if h.net.out_dim == 2 else (dp[:, 1] - dp[:, 0])[:, None]
+                return nets.backward(h.net, cache, dout, need_param_grads=False)[1]
+            grads_of.append(vjp)
+    expected = np.zeros_like(pairs[0])
+    for q, pair in zip(weights, pairs):
+        expected += q * pair
+    if mode == "eot_logits":
+        value, dpair = nets.ce_loss(expected, Y)
+        dpairs = [dpair] * len(comps)
+    else:
+        value = np.zeros(len(Y))
+        dpairs = []
+        for q, pair in zip(weights, pairs):
+            v, dpair = nets.ce_loss(pair, Y)
+            value += q * v
+            dpairs.append(dpair)
+    grad = np.zeros_like(X)
+    for q, vjp, dpair in zip(weights, grads_of, dpairs):
+        grad += q * vjp(dpair)
+    return value, grad, expected
+
+
+def _apart(model):
+    """Every component in its own batched part: nothing is stacked."""
+    if isinstance(model, attacks._Batched):
+        return model
+    mix = as_mixture(model)
+    return attacks._Batched(mix.weights, tuple(
+        (h.net if isinstance(h, Mlp) else h, k) for k, h in enumerate(mix.hypotheses)))
+
+
+@pytest.mark.parametrize("mode", ["eot_logits", "eot_loss"])
+def test_stacked_mixture_matches_per_component_reference(mode, monkeypatch):
+    comps = (Mlp(nets.init_mlp((2, 16, 16, 2), seed=1)), ag.Linear((0.7, -1.3), -0.05),
+             Mlp(nets.init_mlp((2, 16, 16, 2), seed=2)), Mlp(nets.init_mlp((2, 6, 1), seed=3)))
+    m = MixedClassifier(comps, (0.35, 0.15, 0.3, 0.2))
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0.1, 0.9, (25, 2))
+    Y = np.where(rng.random(25) < 0.5, 1, -1)
+    value, grad, expected = _per_component_ce(comps, m.weights, X, Y, mode)
+    got_value, got_grad = loss_and_input_grad(m, X, Y, mode)
+    assert _same_bits(got_value, value) and _same_bits(got_grad, grad)
+    assert _same_bits(model_logits(m, X), expected)
+    pgd_cfg = ag.PgdConfig(0.08, 0.02, 6, restarts=2, seed=1)
+    cw_cfg = ag.CwConfig(iters=15, binary_search_steps=3, abort_early=False)
+
+    def attacked():
+        return (*pgd_linf_batch(m, X, Y, pgd_cfg, mode=mode),
+                *cw_l2_batch(m, X, Y, cw_cfg, mode=mode))
+    stacked = attacked()
+    monkeypatch.setattr(attacks, "_batched", _apart)
+    for got, want in zip(stacked, attacked()):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_attack_sees_in_place_weight_updates(stack):
+    nets_ = [nets.init_mlp((2, 8, 8, 2), seed=s) for s in (3, 4)][: 1 + stack]
+    model = MixedClassifier(tuple(Mlp(n) for n in nets_), (0.6, 0.4)) if stack else Mlp(nets_[0])
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.1, 0.9, (20, 2))
+    Y = np.where(rng.random(20) < 0.5, 1, -1)
+    cfg = ag.PgdConfig(0.08, 0.02, 5, seed=2)
+    before = pgd_linf_batch(model, X, Y, cfg)
+    for net in nets_:  # one SGD step, in place as training applies it
+        _, grads, _ = nets.loss_and_grads(net, X, Y)
+        for w, b, (gw, gb) in zip(net.weights, net.biases, grads):
+            w -= 0.5 * gw
+            b -= 0.5 * gb
+    after = pgd_linf_batch(model, X, Y, cfg)
+    fresh = [Mlp(n.copy()) for n in nets_]
+    fresh_model = MixedClassifier(tuple(fresh), (0.6, 0.4)) if stack else fresh[0]
+    want = pgd_linf_batch(fresh_model, X, Y, cfg)
+    assert not np.array_equal(after[1], before[1])
+    assert _same_bits(after[0], want[0]) and _same_bits(after[1], want[1])
+
+
 # ---------------------------------------------------------------------------
 # C&W
 # ---------------------------------------------------------------------------
@@ -252,11 +357,11 @@ def test_cw_miss_rule_matches_expected_errors_on_zero_margin(y):
     comps = (lin, Mlp(zero_nets[0]), Mlp(zero_nets[1]))
     X = np.array([[0.3, 0.3], [0.5, 0.5], [0.2, 0.7]])
     Y = np.full(3, y)
-    pairs = [attacks._component_logits(h, X)[0] for h in comps]
-    for h, pair in zip(comps, pairs):
-        got = attacks._pair_errors((1.0,), [pair], Y)
-        assert np.array_equal(got, MixedClassifier((h,), (1.0,)).expected_errors(X, Y))
     m = MixedClassifier(comps, (0.5, 0.3, 0.2))
+    pairs = attacks._forward(attacks._batched(m), X)[0]
+    for h, pair in zip(comps, pairs):
+        got = attacks._pair_errors((1.0,), pair[None], Y)
+        assert np.array_equal(got, MixedClassifier((h,), (1.0,)).expected_errors(X, Y))
     got = attacks._pair_errors(m.weights, pairs, Y)
     assert np.array_equal(got, m.expected_errors(X, Y))
     # a zero margin errs on both labels

@@ -229,13 +229,20 @@ def test_empty_lr_stages_exits_2(tmp_path, capsys):
     assert "lr_stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stages", [[[0]], [["a", 0.1]], 5])
+def test_malformed_lr_stages_exits_2(tmp_path, capsys, stages):
+    cfg = _set_in(_training_config(tmp_path), "train", "lr_stages", stages)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "train.lr_stages" in capsys.readouterr().err
+
+
 def test_zero_first_candidates_exits_2(tmp_path, capsys):
     cfg = _training_config(tmp_path, bat={"n": 2, "first_candidates": 0})
     assert cli.main(["bat", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "first_candidates" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("box", [[0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0, 2.0]])
+@pytest.mark.parametrize("box", [[0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0, 2.0], ["a", 1]])
 def test_malformed_box_exits_2(tmp_path, capsys, box):
     cfg = _set_in(_training_config(tmp_path), "attack", "box", box)
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

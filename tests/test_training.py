@@ -138,6 +138,40 @@ def test_rectifier_and_its_backward_step_keep_signed_zeros(slope):
     assert np.array_equal(np.signbit(dX), np.signbit(want))
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("sizes", [(2, 8, 8, 2), (3, 6, 1)])
+def test_stacked_nets_match_each_net_alone(sizes, slope):
+    singles = [nets.init_mlp(sizes, seed=s, slope=slope) for s in range(3)]
+    for k, net in enumerate(singles):
+        for b in net.biases:
+            b[:] = np.random.default_rng(k).standard_normal(b.shape)
+    stacked = nets.stack(singles)
+    assert (stacked.sizes, stacked.in_dim, stacked.out_dim) == (sizes, sizes[0], sizes[-1])
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-1, 1, (9, sizes[0]))
+    X[0, 0] = -0.0
+    cache = nets.forward_cached(stacked, X)
+    assert cache[0].shape == (3, 9, sizes[-1])
+    dout = rng.standard_normal(cache[0].shape)
+    dout[:, 0] = -0.0
+    grads, dX = nets.backward(stacked, cache, dout)
+    for k, net in enumerate(singles):
+        own = nets.forward_cached(net, X)
+        own_grads, own_dX = nets.backward(net, own, dout[k])
+        assert _same_bits(cache[0][k], own[0])
+        assert _same_bits(dX[k], own_dX)
+        for (dw, db), (own_dw, own_db) in zip(grads, own_grads):
+            assert _same_bits(dw[k], own_dw) and _same_bits(db[k], own_db)
+    with pytest.raises(InvalidInput):
+        nets.stack([singles[0], nets.init_mlp(sizes, seed=0, slope=0.5)])
+    with pytest.raises(InvalidInput):
+        nets.stack([singles[0], nets.init_mlp(sizes[:1] + (5,) + sizes[1:], seed=0)])
+
+
 def test_rectifier_slope_must_lie_in_unit_interval():
     d = nets.mlp_to_dict(nets.init_mlp((2, 4, 2), seed=0))
     for slope in (0.0, 1.0):
