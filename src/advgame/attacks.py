@@ -105,13 +105,17 @@ def _batched(model) -> _Batched:
 
 def _forward(mix: _Batched, X: np.ndarray):
     """The (K, n, 2) logit pairs in component order and each part's forward
-    cache (None for a Linear)."""
-    pairs = np.empty((len(mix.weights), X.shape[0], 2))
+    cache (None for a Linear). A lone component that is a stack of J nets
+    gives (1, J, n, 2): its nets are J independent models, not a mixture."""
+    pairs = None
     caches = []
     for part, idx in mix.parts:
         cache = None if isinstance(part, Linear) else nets.forward_cached(part, X)
         out = part.decision_values(X)[:, None] if cache is None else cache[0]
-        pairs[idx] = nets.logit_pair_from_output(out)
+        pair = nets.logit_pair_from_output(out)
+        if pairs is None:  # a grouped part's output has the group axis in front
+            pairs = np.empty((len(mix.weights),) + pair.shape[np.ndim(idx):])
+        pairs[idx] = pair
         caches.append(cache)
     return pairs, caches
 
@@ -129,6 +133,12 @@ def _pair_errors(weights, pairs: np.ndarray, Y) -> np.ndarray:
     boundary rule of ``MixedClassifier.expected_errors``: a zero margin errs
     on both labels. A Linear pair's margin is 2g, so its sign is g's."""
     return _weighted_sum(weights, (three_sign(pairs[..., 1] - pairs[..., 0]) != Y) * 1.0)
+
+
+def _rows(X, Y):
+    """X as float rows (..., n, d) and Y broadcast to its (..., n) row shape."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return X, np.broadcast_to(np.asarray(Y, dtype=int), X.shape[:-1])
 
 
 def model_logits(model, X: np.ndarray) -> np.ndarray:
@@ -164,12 +174,11 @@ def _eot_objective(model, X: np.ndarray, Y, mode: str, loss):
     "eot_logits" applies it to the expected logits; mode "eot_loss" takes the
     expectation of the per-component values. Both coincide for deterministic
     models. Each part runs forward once; its backward reuses that pass.
+    X and Y come normalised, as :func:`_rows` returns them.
     """
     mix = _batched(model)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
     value, dpairs, pairs, caches = _eot_value(mix, X, Y, mode, loss)
-    dX = np.empty((len(mix.weights),) + X.shape)  # each component's VJP
+    dX = np.empty(pairs.shape[:-1] + X.shape[-1:])  # each component's VJP
     for (part, idx), cache in zip(mix.parts, caches):
         dpair = dpairs[idx]
         if cache is None:  # Linear
@@ -186,7 +195,7 @@ def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
     mode "eot_logits": loss of the expected logits (the default adaptive
     gradient); mode "eot_loss": expectation of the per-component losses.
     """
-    value, grad, _ = _eot_objective(model, X, Y, mode, nets.ce_loss)
+    value, grad, _ = _eot_objective(model, *_rows(X, Y), mode, nets.ce_loss)
     return value, grad
 
 
@@ -215,26 +224,32 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
 
     Each restart contributes only its final iterate, scored by a forward pass
     alone. Returns (adversarial points, per-sample best losses).
+
+    An Mlp over a :func:`nets.stack` of K nets is attacked as K independent
+    nets: X is (K, n, d), one batch per net, or (n, d) for all of them, and
+    the results are (K, n, d) and (K, n), each net's slice bit-identical to
+    attacking that net alone on its batch.
     """
     mix = _batched(model)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
+    X, Y = _rows(X, Y)
     eps = cfg.epsilon_inf
-    best_x = np.array(X, copy=True)
-    best_loss = np.full(X.shape[0], -np.inf)
+    best_x = None
     for restart in range(cfg.restarts):
-        # per-restart stream drawn for the whole batch shape from (seed, restart):
+        # per-restart stream drawn for the (n, d) batch shape from (seed, restart):
         # row i's start depends on the batch it sits in, and every batch of the
-        # same shape gets the same start pattern
+        # same shape gets the same start pattern, on every net of a stack too
         rng = np.random.default_rng((cfg.seed, restart))
-        init = rng.uniform(-eps, eps, X.shape) if cfg.random_init else 0.0
+        init = rng.uniform(-eps, eps, X.shape[-2:]) if cfg.random_init else 0.0
         x_adv = _clip_box(X + init, box)
         for _ in range(cfg.iters):
-            _, grad = loss_and_input_grad(mix, x_adv, Y, mode)
+            grad = _eot_objective(mix, x_adv, Y, mode, nets.ce_loss)[1]
             x_adv = x_adv + cfg.step * np.sign(grad)
             x_adv = np.clip(x_adv, X - eps, X + eps)
             x_adv = _clip_box(x_adv, box)
         loss = _eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
+        if best_x is None:  # a stack's row shape is known after its first pass
+            best_x = np.array(np.broadcast_to(X, loss.shape + X.shape[-1:]))
+            best_loss = np.full(loss.shape, -np.inf)
         better = loss > best_loss
         best_x[better] = x_adv[better]
         best_loss[better] = loss[better]
@@ -263,8 +278,7 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
     early abort (Carlini & Wagner 2017) reads the objective summed over the
     batch, so a row's result can depend on the other rows of its batch.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],)).copy()
+    X, Y = _rows(X, Y)
     if box is None:
         raise ConfigError("C&W needs a box domain for the tanh change of variable")
     mix = _batched(model)
@@ -337,8 +351,7 @@ def adaptive_cw(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0)) -> np.nd
     ``cfg.abort_early`` a row's point can depend on the other rows of its
     batch (see :func:`cw_l2_batch`).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.broadcast_to(np.asarray(Y, dtype=int), (X.shape[0],))
+    X, Y = _rows(X, Y)
     adv, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_logits")
     if len(as_mixture(model)) > 1:
         adv_b, _, _ = cw_l2_batch(model, X, Y, cfg, box, "eot_loss")

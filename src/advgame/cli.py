@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 from . import attacks, distributions, game, hypotheses, theorems, training
 from .errors import AdvGameError, ConfigError
@@ -32,9 +32,10 @@ _TRAIN_KEYS = {"mode", "epochs", "batch_size", "lr_stages", "momentum",
                "weight_decay", "seed", "sizes"}
 _TRAIN_FIELDS = {"epochs": int, "batch_size": int, "momentum": float, "weight_decay": float,
                  "seed": int, "lr_stages": lambda v: tuple((int(e), float(lr)) for e, lr in v)}
-_PGD_KEYS = {"preset", "epsilon_inf", "step", "iters", "restarts", "random_init", "seed"}
-_CW_KEYS = {"preset", "lr", "binary_search_steps", "initial_const", "iters",
-            "abort_early"}
+_PGD_FIELDS = {"epsilon_inf": float, "step": float, "iters": int, "restarts": int,
+               "random_init": bool, "seed": int}
+_CW_FIELDS = {"lr": float, "binary_search_steps": int, "initial_const": float, "iters": int,
+              "abort_early": bool}
 _ATTACK_KEYS = {"pgd", "cw", "box", "reject_thresholds", "eval_pgd"}
 _BAT_KEYS = {"n", "alpha_bat", "first_candidates", "first_best_aua"}
 _TOP_KEYS = {"distribution", "game", "hypothesis", "rounds", "improvement_threshold",
@@ -48,64 +49,51 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
-def _parse_game(raw: dict) -> game.GameConfig:
-    _reject_unknown(raw, _GAME_KEYS, "game")
-    ev = raw.get("eval", {})
-    _reject_unknown(ev, _EVAL_KEYS, "game.eval")
-    return game.GameConfig(
-        penalty=raw["penalty"],
-        lam=float(raw["lambda"]),
-        epsilon=float(raw["epsilon"]),
-        norm_kind=raw.get("norm_kind", "l2"),
-        eval_method=ev.get("method", "quadrature"),
-        mc_n=int(ev.get("n", 10000)),
-        mc_seed=int(ev.get("seed", 0)),
-    )
-
-
-def _parse_pgd(raw: dict) -> attacks.PgdConfig:
-    _reject_unknown(raw, _PGD_KEYS, "attack.pgd")
-    if "preset" in raw:
-        base = attacks.ATTACK_PRESETS.get(raw["preset"])
-        if not isinstance(base, attacks.PgdConfig):
-            raise ConfigError(f"unknown pgd preset {raw['preset']!r}")
-        fields = asdict(base)
-        fields.update({k: v for k, v in raw.items() if k != "preset"})
-        return attacks.PgdConfig(**fields)
-    return attacks.PgdConfig(
-        epsilon_inf=float(raw["epsilon_inf"]),
-        step=float(raw["step"]),
-        iters=int(raw["iters"]),
-        restarts=int(raw.get("restarts", 1)),
-        random_init=bool(raw.get("random_init", True)),
-        seed=int(raw.get("seed", 0)),
-    )
-
-
-def _parse_cw(raw: dict) -> attacks.CwConfig:
-    _reject_unknown(raw, _CW_KEYS, "attack.cw")
-    if "preset" in raw:
-        base = attacks.ATTACK_PRESETS.get(raw["preset"])
-        if not isinstance(base, attacks.CwConfig):
-            raise ConfigError(f"unknown cw preset {raw['preset']!r}")
-        fields = asdict(base)
-        fields.update({k: v for k, v in raw.items() if k != "preset"})
-        return attacks.CwConfig(**fields)
-    return attacks.CwConfig(
-        lr=float(raw.get("lr", 0.01)),
-        binary_search_steps=int(raw.get("binary_search_steps", 9)),
-        initial_const=float(raw.get("initial_const", 1e-3)),
-        iters=int(raw.get("iters", 100)),
-        abort_early=bool(raw.get("abort_early", True)),
-    )
-
-
 def _converted(field: str, value, convert):
     """convert(value); a value of the wrong type or shape is a ConfigError."""
     try:
         return convert(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{field} has the wrong type or shape: {value!r}") from None
+
+
+def _parse_game(raw: dict) -> game.GameConfig:
+    _reject_unknown(raw, _GAME_KEYS, "game")
+    ev = raw.get("eval", {})
+    _reject_unknown(ev, _EVAL_KEYS, "game.eval")
+    return game.GameConfig(
+        penalty=raw["penalty"],
+        lam=_converted("game.lambda", raw["lambda"], float),
+        epsilon=_converted("game.epsilon", raw["epsilon"], float),
+        norm_kind=raw.get("norm_kind", "l2"),
+        eval_method=ev.get("method", "quadrature"),
+        mc_n=_converted("game.eval.n", ev.get("n", 10000), int),
+        mc_seed=_converted("game.eval.seed", ev.get("seed", 0), int),
+    )
+
+
+def _parse_attack(raw: dict, kind: str, config_type, converters: dict):
+    """An attack config: each field from raw, else from the preset, else the
+    dataclass default."""
+    where = f"attack.{kind}"
+    _reject_unknown(raw, set(converters) | {"preset"}, where)
+    defaults = {f.name: f.default for f in fields(config_type) if f.default is not MISSING}
+    if "preset" in raw:
+        base = attacks.ATTACK_PRESETS.get(raw["preset"])
+        if not isinstance(base, config_type):
+            raise ConfigError(f"unknown {kind} preset {raw['preset']!r}")
+        defaults = asdict(base)
+    return config_type(**{key: _converted(f"{where}.{key}", raw[key] if key in raw
+                                          else defaults[key], convert)
+                          for key, convert in converters.items()})
+
+
+def _parse_pgd(raw: dict) -> attacks.PgdConfig:
+    return _parse_attack(raw, "pgd", attacks.PgdConfig, _PGD_FIELDS)
+
+
+def _parse_cw(raw: dict) -> attacks.CwConfig:
+    return _parse_attack(raw, "cw", attacks.CwConfig, _CW_FIELDS)
 
 
 def _parse_train(raw: dict, preset: str | None) -> tuple[str, training.TrainConfig]:
@@ -127,7 +115,7 @@ def _load_data(cfg: dict, spec) -> tuple:
     _reject_unknown(raw, _DATA_KEYS, "data")
     if raw.get("csv"):
         full = distributions.measure_from_csv(raw["csv"])
-        n_test = int(raw.get("n_test", 0))
+        n_test = _converted("data.n_test", raw.get("n_test", 0), int)
         if n_test:
             train = distributions.EmpiricalMeasure(
                 full.points[:-n_test], full.labels[:-n_test], full.seed)
@@ -137,9 +125,11 @@ def _load_data(cfg: dict, spec) -> tuple:
         return full, None
     if spec is None:
         raise ConfigError("data needs either a csv path or a distribution")
-    seed = int(raw.get("seed", 0))
-    train = distributions.sample_labeled(spec, int(raw.get("n_train", 2000)), seed)
-    test = distributions.sample_labeled(spec, int(raw.get("n_test", 1000)), seed + 1)
+    seed = _converted("data.seed", raw.get("seed", 0), int)
+    n_train = _converted("data.n_train", raw.get("n_train", 2000), int)
+    n_test = _converted("data.n_test", raw.get("n_test", 1000), int)
+    train = distributions.sample_labeled(spec, n_train, seed)
+    test = distributions.sample_labeled(spec, n_test, seed + 1)
     return train, test
 
 

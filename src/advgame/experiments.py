@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .attacks import PgdConfig, accuracy, accuracy_under_pgd, pgd_linf_batch
 from .distributions import DistributionSpec, EmpiricalMeasure, sample_labeled
 from .errors import InvalidInput
 from .hypotheses import MixedClassifier, Mlp, as_mixture
-from .training import TrainConfig, grid_search_alpha, train_adversarial, train_natural
+from .training import TrainConfig, _first_classifier, grid_search_alpha, train_natural
 
 # PGD of the desk-scale benchmark (unit box, eps_inf 0.08): 20 steps to train,
 # 100 steps with two restarts to select and evaluate.
@@ -84,16 +82,11 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
     val = sample_labeled(spec, n_test, seed=5000 + seed)
     test = sample_labeled(spec, n_test, seed=9000 + seed)
 
-    candidates = []
-    for k in range(first_candidates):
-        sub = TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + 101 * k})
-        model, _ = train_adversarial(data, sub, ATTACK_TRAIN)
-        candidates.append(Mlp(model))
-    baseline = candidates[0]  # the plain adversarially trained model
-
-    val_auas = [accuracy_under_pgd(c, val.points, val.labels, ATTACK_EVAL)
-                for c in candidates]
-    h1 = candidates[int(np.argmax(val_auas))]
+    candidates, best = _first_classifier(
+        data, train_cfg, ATTACK_TRAIN,
+        [train_cfg.seed + 101 * k for k in range(first_candidates)], val, ATTACK_EVAL)
+    baseline = Mlp(candidates[0])  # the plain adversarially trained model
+    h1 = Mlp(candidates[best])
 
     adv, _ = pgd_linf_batch(h1, data.points, data.labels, ATTACK_TRAIN)
     d_tilde = EmpiricalMeasure(adv, data.labels, data.seed)

@@ -9,6 +9,8 @@ runs the net forward once: callers read their logits from that output and
 pass the same cache on. Both passes broadcast over a leading stack axis: a
 :func:`stack` of K same-shape nets runs with one batched matmul per layer, and
 each net's slice of the result is bit-identical to running that net alone.
+Its input is either one (n, d) batch for all K nets or a (K, n, d) array with
+one batch per net; its outputs and gradients then carry the leading K axis.
 """
 
 from __future__ import annotations
@@ -78,16 +80,24 @@ def stack(models) -> MlpModel:
                     [np.stack(bs)[:, None] for bs in zip(*(m.biases for m in models))], slope)
 
 
+def unstack(model: MlpModel) -> list[MlpModel]:
+    """The K lone nets of a stack, as views of its arrays; [model] for a lone net."""
+    if model.weights[0].ndim == 2:
+        return [model]
+    return [MlpModel([w[k] for w in model.weights], [b[k, 0] for b in model.biases], model.slope)
+            for k in range(model.weights[0].shape[0])]
+
+
 def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Raw network output, shape (n, out_dim)."""
+    """Raw network output, shape (n, out_dim), or (K, n, out_dim) on a stack."""
     return forward_cached(model, X)[0]
 
 
 def forward_cached(model: MlpModel, X: np.ndarray):
     """Returns (output, preactivations per hidden layer, inputs per layer)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.in_dim:
-        raise DimensionMismatch(f"input has dim {X.shape[1]}, model wants {model.in_dim}")
+    if X.shape[-1] != model.in_dim:
+        raise DimensionMismatch(f"input has dim {X.shape[-1]}, model wants {model.in_dim}")
     acts = [X]
     pres = []
     h = X
@@ -131,7 +141,8 @@ def backward(model: MlpModel, cache, dout: np.ndarray,
     returned for the batch; the forward pass is not run again. Returns
     (param_grads, input_grad); param_grads is a list of (dW, db) pairs summed
     over the batch, or None if not requested. On a stack of K nets every array
-    has a leading K axis (db is (K, fan_out)), one slice per net.
+    has a leading K axis (db is (K, fan_out)), one slice per net; the input
+    gradient is (K, n, d) whether the input was (n, d) or (K, n, d).
     """
     out, pres, acts = cache
     if dout.shape != out.shape:
@@ -151,12 +162,13 @@ def loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
     """Cross-entropy loss, parameter and input gradients from one forward pass.
 
     Returns (per-sample loss, param_grads, input_grad), the gradients as
-    :func:`backward` gives them.
+    :func:`backward` gives them. On a stack, X is (n, d) or (K, n, d) and y
+    is (n,) or (K, n).
     """
     cache = forward_cached(model, X)
     out = cache[0]
     loss, dlogits = ce_loss(logit_pair_from_output(out), y)
-    dout = dlogits if out.shape[1] == 2 else (dlogits[:, 1] - dlogits[:, 0]).reshape(-1, 1)
+    dout = dlogits if out.shape[-1] == 2 else (dlogits[..., 1] - dlogits[..., 0])[..., None]
     param_grads, input_grad = backward(model, cache, dout)
     return loss, param_grads, input_grad
 

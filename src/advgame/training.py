@@ -1,10 +1,12 @@
 """Small-model training: natural, adversarial, and the boosted mixture.
 
 SGD with momentum and weight decay over seeded mini-batches; everything is
-deterministic in (data, config, seed). The boosted procedure adversarially
-trains a first classifier, then repeatedly trains a fresh classifier naturally
-on adversarial examples generated against the running mixture (with exact EOT
-gradients) and reweights the mixture geometrically.
+deterministic in (data, config, seed). Nets that train on the same data with
+the same schedule train in lockstep as one stacked net, each with the bits it
+gets alone. The boosted procedure adversarially trains a first classifier
+(the best of several candidates), then repeatedly trains a fresh classifier
+naturally on adversarial examples generated against the running mixture (with
+exact EOT gradients) and reweights the mixture geometrically.
 """
 
 from __future__ import annotations
@@ -98,47 +100,59 @@ def trace_to_csv(trace, path) -> None:
 # SGD loops
 # ---------------------------------------------------------------------------
 
-def _sgd_epochs(model: nets.MlpModel, data: EmpiricalMeasure, cfg: TrainConfig,
-                batch_hook, eval_hook):
-    """Shared loop: batch_hook may replace the batch (adversarial training)."""
+def _sgd_epochs(data: EmpiricalMeasure, cfg: TrainConfig, seeds, attack_cfg, box, *,
+                eval_set: EmpiricalMeasure | None = None,
+                eval_attack: PgdConfig | None = None):
+    """The one SGD loop: K = len(seeds) nets trained in lockstep as one stack.
+
+    Net k starts from ``init_mlp(cfg.sizes, seeds[k])`` and draws its batch
+    order from its own stream ``default_rng(seeds[k] + 1)``. Each step gathers
+    the K batches with a (K, b) index array into one (K, b, d) input, replaces
+    them by PGD examples against each net when attack_cfg is set, and runs one
+    forward and backward pass over the stack. The momentum and weight-decay
+    updates are elementwise, so every net gets the bits it gets when trained
+    alone. One seed trains a lone net on (b, d) batches. Returns (the trained
+    net or stack, one trace per net).
+    """
+    if len(data) == 0:
+        raise InvalidInput("training data must be nonempty")
     n = len(data)
-    rng = np.random.default_rng(cfg.seed + 1)  # batch order stream
-    vel = [(np.zeros_like(w), np.zeros_like(b))
-           for w, b in zip(model.weights, model.biases)]
-    trace = []
+    inits = [nets.init_mlp(cfg.sizes, s) for s in seeds]
+    model = inits[0] if len(inits) == 1 else nets.stack(inits)
+    lead = model.weights[0].shape[:-2]  # () for a lone net, (K,) for a stack
+    # biases as views in the shape of their gradients: (K, fan_out) on a stack
+    params = [(w, b.reshape(lead + b.shape[-1:])) for w, b in zip(model.weights, model.biases)]
+    vel = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    rngs = [np.random.default_rng(s + 1) for s in seeds]  # batch order streams
+    traces = [[] for _ in seeds]
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
-        order = rng.permutation(n)
-        epoch_loss = 0.0
+        orders = np.stack([rng.permutation(n) for rng in rngs]).reshape(lead + (n,))
+        epoch_loss = 0.0  # a float for a lone net, a (K,) array for a stack
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+            idx = orders[..., start:start + cfg.batch_size]
             Xb, Yb = data.points[idx], data.labels[idx]
-            Xb = batch_hook(model, Xb, Yb)
+            if attack_cfg is not None:
+                Xb, _ = pgd_linf_batch(Mlp(model), Xb, Yb, attack_cfg, box)
             loss, grads, _ = nets.loss_and_grads(model, Xb, Yb)
-            epoch_loss += float(loss.sum())
-            for i, (gw, gb) in enumerate(grads):
-                gw = gw / len(idx) + cfg.weight_decay * model.weights[i]
-                gb = gb / len(idx)
-                vw, vb = vel[i]
+            epoch_loss += loss.sum(axis=-1)
+            for (w, b), (vw, vb), (gw, gb) in zip(params, vel, grads):
+                gw = gw / idx.shape[-1] + cfg.weight_decay * w
+                gb = gb / idx.shape[-1]
                 vw[...] = cfg.momentum * vw + gw
                 vb[...] = cfg.momentum * vb + gb
-                model.weights[i] -= lr * vw
-                model.biases[i] -= lr * vb
-        trace.append(TraceRow(
-            epoch=epoch,
-            train_loss=epoch_loss / n,
-            train_acc=accuracy(Mlp(model), data.points, data.labels),
-            eval_acc_under_attack=eval_hook(model),
-        ))
-    return trace
-
-
-def _make_eval_hook(eval_set, eval_attack, box):
-    if eval_set is None or eval_attack is None:
-        return lambda model: math.nan
-    return lambda model: accuracy_under_pgd(
-        Mlp(model), eval_set.points, eval_set.labels, eval_attack, box
-    )
+                w -= lr * vw
+                b -= lr * vb
+        for trace, loss_sum, net in zip(traces, np.atleast_1d(epoch_loss), nets.unstack(model)):
+            trace.append(TraceRow(
+                epoch=epoch,
+                train_loss=float(loss_sum) / n,
+                train_acc=accuracy(Mlp(net), data.points, data.labels),
+                eval_acc_under_attack=math.nan if eval_set is None or eval_attack is None
+                else accuracy_under_pgd(Mlp(net), eval_set.points, eval_set.labels,
+                                        eval_attack, box),
+            ))
+    return model, traces
 
 
 def train_natural(data: EmpiricalMeasure, cfg: TrainConfig, *,
@@ -146,12 +160,9 @@ def train_natural(data: EmpiricalMeasure, cfg: TrainConfig, *,
                   eval_attack: PgdConfig | None = None,
                   box=(0.0, 1.0)):
     """Plain SGD on the cross-entropy loss. Returns (model, trace)."""
-    if len(data) == 0:
-        raise InvalidInput("training data must be nonempty")
-    model = nets.init_mlp(cfg.sizes, cfg.seed)
-    trace = _sgd_epochs(model, data, cfg, lambda m, X, Y: X,
-                        _make_eval_hook(eval_set, eval_attack, box))
-    return model, trace
+    model, traces = _sgd_epochs(data, cfg, [cfg.seed], None, box,
+                                eval_set=eval_set, eval_attack=eval_attack)
+    return model, traces[0]
 
 
 def train_adversarial(data: EmpiricalMeasure, cfg: TrainConfig,
@@ -161,17 +172,30 @@ def train_adversarial(data: EmpiricalMeasure, cfg: TrainConfig,
                       box=(0.0, 1.0)):
     """Each batch is replaced by PGD examples against the
     current model before the gradient step. Returns (model, trace)."""
-    if len(data) == 0:
-        raise InvalidInput("training data must be nonempty")
-    model = nets.init_mlp(cfg.sizes, cfg.seed)
+    model, traces = _sgd_epochs(data, cfg, [cfg.seed], attack_cfg, box,
+                                eval_set=eval_set, eval_attack=eval_attack)
+    return model, traces[0]
 
-    def hook(m, X, Y):
-        adv, _ = pgd_linf_batch(Mlp(m), X, Y, attack_cfg, box)
-        return adv
 
-    trace = _sgd_epochs(model, data, cfg, hook,
-                        _make_eval_hook(eval_set, eval_attack, box))
-    return model, trace
+def _first_classifier(data: EmpiricalMeasure, cfg: TrainConfig, attack_cfg: PgdConfig,
+                      seeds, ref: EmpiricalMeasure, select_attack: PgdConfig | None,
+                      box=(0.0, 1.0)):
+    """Adversarially train one candidate first classifier per seed, in lockstep.
+
+    Returns (the candidates as lone nets, index of the kept one). With one
+    candidate that is 0; otherwise the candidate with the best accuracy on
+    ref, under select_attack (one PGD run on the stack) or natural accuracy
+    when select_attack is None, the first one on a tie.
+    """
+    model, _ = _sgd_epochs(data, cfg, seeds, attack_cfg, box)
+    candidates = nets.unstack(model)
+    if len(candidates) == 1:
+        return candidates, 0
+    points = [ref.points] * len(candidates)
+    if select_attack is not None:
+        points, _ = pgd_linf_batch(Mlp(model), ref.points, ref.labels, select_attack, box)
+    scores = [accuracy(Mlp(m), X, ref.labels) for m, X in zip(candidates, points)]
+    return candidates, int(np.argmax(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +214,9 @@ def bat(data: EmpiricalMeasure, n: int, alpha_bat: float, cfg: TrainConfig,
     the earlier classifiers, q_i <- a. n = 2 reduces to the two-classifier
     procedure with weights (1 - alpha, alpha).
 
-    first_candidates > 1 trains several first classifiers from sub-seeds and
-    keeps the best one by accuracy under attack (default) or natural accuracy.
+    first_candidates > 1 trains several first classifiers from sub-seeds, in
+    lockstep, and keeps the best one by accuracy under attack (default) or
+    natural accuracy.
     """
     if n < 2:
         raise InvalidInput("the boosted mixture needs n >= 2 classifiers")
@@ -200,23 +225,10 @@ def bat(data: EmpiricalMeasure, n: int, alpha_bat: float, cfg: TrainConfig,
     if first_candidates < 1:
         raise InvalidInput(f"first_candidates must be >= 1, got {first_candidates}")
 
-    candidates = []
-    for k in range(first_candidates):
-        sub = TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + 1000 * k})
-        model, _ = train_adversarial(data, sub, attack_cfg, box=box)
-        candidates.append(model)
-    if len(candidates) == 1:
-        h1 = candidates[0]
-    else:
-        ref = eval_set or data
-        if first_best_aua:
-            scores = [accuracy_under_pgd(Mlp(m), ref.points, ref.labels, attack_cfg, box)
-                      for m in candidates]
-        else:
-            scores = [accuracy(Mlp(m), ref.points, ref.labels) for m in candidates]
-        h1 = candidates[int(np.argmax(scores))]
-
-    hyps = [Mlp(h1)]
+    candidates, best = _first_classifier(
+        data, cfg, attack_cfg, [cfg.seed + 1000 * k for k in range(first_candidates)],
+        eval_set or data, attack_cfg if first_best_aua else None, box)
+    hyps = [Mlp(candidates[best])]
     weights = (1.0,)
     for i in range(2, n + 1):
         mixture = MixedClassifier(tuple(hyps), weights)

@@ -306,6 +306,27 @@ def test_attack_sees_in_place_weight_updates(stack):
     assert _same_bits(after[0], want[0]) and _same_bits(after[1], want[1])
 
 
+@pytest.mark.parametrize("mode", ["eot_logits", "eot_loss"])
+@pytest.mark.parametrize("shared_rows", [False, True])
+def test_stacked_nets_are_attacked_as_independent_nets(mode, shared_rows):
+    lone = [nets.init_mlp((2, 8, 8, 2), seed=s) for s in (3, 4, 5)]
+    for k, net in enumerate(lone):
+        for b in net.biases:
+            b[:] = 0.1 * np.random.default_rng(k).standard_normal(b.shape)
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0.1, 0.9, (3, 17, 2))
+    Y = np.where(rng.random((3, 17)) < 0.5, 1, -1)
+    if shared_rows:  # one (n, d) batch broadcast to every net
+        X, Y = X[0], Y[0]
+    cfg = ag.PgdConfig(0.08, 0.02, 6, restarts=2, seed=1)
+    points, losses = pgd_linf_batch(Mlp(nets.stack(lone)), X, Y, cfg, mode=mode)
+    assert points.shape == (3, 17, 2) and losses.shape == (3, 17)
+    for k, net in enumerate(lone):
+        Xk, Yk = (X, Y) if shared_rows else (X[k], Y[k])
+        want_points, want_losses = pgd_linf_batch(Mlp(net), Xk, Yk, cfg, mode=mode)
+        assert _same_bits(points[k], want_points) and _same_bits(losses[k], want_losses)
+
+
 # ---------------------------------------------------------------------------
 # C&W
 # ---------------------------------------------------------------------------

@@ -263,3 +263,49 @@ def test_shipped_game_config_runs_every_game_subcommand(tmp_path):
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0, sub
     for name in ("original", "none", "mass", "norm", "atoms"):
         assert (tmp_path / "fig1" / f"fig1_{name}.csv").is_file()
+
+
+@pytest.mark.parametrize("sub, keys, value", [
+    ("risk", ("game", "lambda"), "a"),
+    ("risk", ("game", "epsilon"), [0.5]),
+    ("risk", ("game", "eval", "n"), "many"),
+    ("risk", ("game", "eval", "seed"), {}),
+    ("train", ("data", "n_train"), "many"),
+    ("train", ("data", "n_test"), "x"),
+    ("train", ("data", "seed"), [1]),
+    ("train", ("attack", "pgd", "epsilon_inf"), "a"),
+    ("train", ("attack", "pgd", "step"), None),
+    ("train", ("attack", "pgd", "iters"), "x"),
+    ("train", ("attack", "pgd", "restarts"), [2]),
+    ("train", ("attack", "pgd", "seed"), "s"),
+    ("evaluate", ("attack", "cw", "lr"), "fast"),
+    ("evaluate", ("attack", "cw", "binary_search_steps"), "x"),
+    ("evaluate", ("attack", "cw", "initial_const"), None),
+    ("evaluate", ("attack", "cw", "iters"), [20]),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, sub, keys, value):
+    path = (write_config(tmp_path) if sub == "risk"
+            else _training_config(tmp_path, models=[{"name": "m", "path": "unused.json"}]))
+    raw = json.loads(Path(path).read_text())
+    if sub == "train":
+        raw["train"]["mode"] = "adversarial"
+    section = raw
+    for key in keys[:-1]:
+        section = section.setdefault(key, {})
+    section[keys[-1]] = value
+    Path(path).write_text(json.dumps(raw))
+    assert cli.main([sub, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {'.'.join(keys)} has the wrong type" in capsys.readouterr().err
+
+
+def test_preset_override_and_csv_split_of_the_wrong_type_exit_2(tmp_path, capsys):
+    cfg = _set_in(_training_config(tmp_path, train={"mode": "adversarial", "epochs": 1}),
+                  "attack", "pgd", {"preset": "pgd_train_paper", "iters": "x"})
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "attack.pgd.iters has the wrong type" in capsys.readouterr().err
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x0,x1,label\n0.2,0.3,-1\n0.7,0.6,1\n")
+    cfg = _set_in(_training_config(tmp_path), "data", "csv", str(csv_path))
+    cfg = _set_in(cfg, "data", "n_test", "one")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "data.n_test has the wrong type" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -50,3 +51,22 @@ def test_bat_benchmark_rejects_zero_candidates(monkeypatch, capsys):
 def test_bat_vs_at_rejects_zero_candidates():
     with pytest.raises(InvalidInput, match="first_candidates"):
         bat_vs_at(satellite_task(), 0, first_candidates=0)
+
+
+def test_theorem_checks_pass_and_exit_0(tmp_path, monkeypatch, capsys):
+    script = load_script("run_theorem_checks")
+    monkeypatch.setattr(sys, "argv", ["run_theorem_checks.py", "--out", str(tmp_path)])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if "FAIL" in line]
+    assert "strict: True" in next(line for line in lines if line.startswith("weak duality"))
+
+
+def test_theorem_checks_exit_1_when_a_check_fails(tmp_path, monkeypatch, capsys):
+    script = load_script("run_theorem_checks")
+    real = script.randomization_gap
+    monkeypatch.setattr(script, "randomization_gap",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), passed=False))
+    monkeypatch.setattr(sys, "argv", ["run_theorem_checks.py", "--out", str(tmp_path)])
+    assert script.main() == 1
+    assert "FAIL" in capsys.readouterr().out

@@ -213,6 +213,76 @@ def test_train_empty_data_rejected():
             ag.EmpiricalMeasure(np.zeros((0, 2)), np.zeros(0, dtype=int)), quick_cfg())
 
 
+def _lone_sgd(data, cfg, attack_cfg=None, box=(0.0, 1.0)):
+    """Reference: one net, its own SGD loop, lone-net PGD; returns (net, trace)."""
+    model = nets.init_mlp(cfg.sizes, cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    vel = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(model.weights, model.biases)]
+    trace = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr_at(epoch)
+        order = rng.permutation(len(data))
+        epoch_loss = 0.0
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            Xb, Yb = data.points[idx], data.labels[idx]
+            if attack_cfg is not None:
+                Xb, _ = attacks.pgd_linf_batch(Mlp(model), Xb, Yb, attack_cfg, box)
+            loss, grads, _ = nets.loss_and_grads(model, Xb, Yb)
+            epoch_loss += float(loss.sum())
+            for i, (gw, gb) in enumerate(grads):
+                vw, vb = vel[i]
+                vw[...] = cfg.momentum * vw + (gw / len(idx) + cfg.weight_decay * model.weights[i])
+                vb[...] = cfg.momentum * vb + gb / len(idx)
+                model.weights[i] -= lr * vw
+                model.biases[i] -= lr * vb
+        trace.append((epoch_loss / len(data),
+                      attacks.accuracy(Mlp(model), data.points, data.labels)))
+    return model, trace
+
+
+def _same_net(a, b):
+    return all(_same_bits(x, y) and x.shape == y.shape
+               for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def _short_run(blobs):
+    """70 rows in batches of 16, so every epoch ends on a short batch, over
+    three learning-rate stages; with a 3-step training PGD."""
+    data = ag.EmpiricalMeasure(blobs.points[:70], blobs.labels[:70])
+    cfg = TrainConfig(epochs=4, batch_size=16, seed=3, lr_stages=((0, 0.1), (2, 0.02), (3, 0.004)),
+                      sizes=(2, 8, 8, 2))
+    return data, cfg, ag.PgdConfig(0.05, 0.02, 3)
+
+
+def test_lone_training_matches_the_reference_loop(blobs_2d):
+    data, cfg, pgd = _short_run(blobs_2d)
+    for attack_cfg in (None, pgd):
+        if attack_cfg is None:
+            model, trace = training.train_natural(data, cfg)
+        else:
+            model, trace = training.train_adversarial(data, cfg, attack_cfg)
+        ref_model, ref_trace = _lone_sgd(data, cfg, attack_cfg)
+        assert _same_net(model, ref_model)
+        assert [(r.train_loss, r.train_acc) for r in trace] == ref_trace
+
+
+@pytest.mark.parametrize("select", [None, ag.PgdConfig(0.1, 0.02, 4, restarts=2)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_lockstep_candidates_match_lone_training(blobs_2d, k, select):
+    data, cfg, pgd = _short_run(blobs_2d)
+    seeds = [3 + 1000 * j for j in range(k)]
+    candidates, best = training._first_classifier(data, cfg, pgd, seeds, blobs_2d, select)
+    alone = [training.train_adversarial(data, TrainConfig(**{**cfg.__dict__, "seed": s}), pgd)[0]
+             for s in seeds]
+    assert len(candidates) == k
+    assert all(_same_net(c, a) for c, a in zip(candidates, alone))
+    scores = [attacks.accuracy(Mlp(a), blobs_2d.points, blobs_2d.labels) if select is None
+              else attacks.accuracy_under_pgd(Mlp(a), blobs_2d.points, blobs_2d.labels, select)
+              for a in alone]
+    assert best == int(np.argmax(scores))
+
+
 def test_adversarial_training_beats_natural_under_attack():
     # nearly-touching blobs: the budget contests the whole margin, which is
     # where adversarial training pays off
@@ -266,8 +336,9 @@ _TINY = ag.EmpiricalMeasure(np.array([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]]),
 def stand_ins(mp, attack=lambda mixture, points, labels: points,
               trainer=lambda d, cfg: nets.init_mlp((2, 4, 2), seed=1)):
     """Swap bat's trainers and attack for stand-ins: no SGD and no PGD run."""
-    mp.setattr(training, "train_adversarial",
-               lambda data, cfg, attack_cfg, box: (nets.init_mlp((2, 4, 2), seed=0), []))
+    mp.setattr(training, "_first_classifier",
+               lambda data, cfg, attack_cfg, seeds, ref, select_attack, box:
+               ([nets.init_mlp((2, 4, 2), seed=0)], 0))
     mp.setattr(training, "pgd_linf_batch",
                lambda mixture, X, Y, attack_cfg, box: (attack(mixture, X, Y), None))
     mp.setattr(training, "train_natural", lambda d, cfg, box: (trainer(d, cfg), []))
