@@ -218,12 +218,27 @@ def _clip_box(X: np.ndarray, box) -> np.ndarray:
     return np.clip(X, box[0], box[1])
 
 
+def _same_bits(a: np.ndarray, b) -> bool:
+    """Equal shapes and equal bits: NaN never matches and -0.0 differs from 0.0."""
+    return (b is not None and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
                    box=(0.0, 1.0), mode: str = "eot_logits"):
     """Best-of-restarts signed-gradient ascent, projected to the ball each step.
 
     Each restart contributes only its final iterate, scored by a forward pass
     alone. Returns (adversarial points, per-sample best losses).
+
+    A restart ends its step loop early, with the bits the full ``cfg.iters``
+    steps give, once the whole-batch iterate repeats: equal to the iterate one
+    step back (a fixed point) or two steps back (a two-point cycle, ended on
+    the point the remaining steps' parity selects). This is exact because a
+    step is a deterministic function of the batch iterate: nothing is drawn
+    after the start and the model does not change during the attack. Rows are
+    never retired one by one; a row's bits can depend on the rows batched with
+    it. So ``cfg.iters`` is an upper bound on the steps run.
 
     An Mlp over a :func:`nets.stack` of K nets is attacked as K independent
     nets: X is (K, n, d), one batch per net, or (n, d) for all of them, and
@@ -233,6 +248,8 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
     mix = _batched(model)
     X, Y = _rows(X, Y)
     eps = cfg.epsilon_inf
+    # the ball clipped to the box: one clip per step projects onto both
+    lo, hi = _clip_box(X - eps, box), _clip_box(X + eps, box)
     best_x = None
     for restart in range(cfg.restarts):
         # per-restart stream drawn for the (n, d) batch shape from (seed, restart):
@@ -241,11 +258,17 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
         rng = np.random.default_rng((cfg.seed, restart))
         init = rng.uniform(-eps, eps, X.shape[-2:]) if cfg.random_init else 0.0
         x_adv = _clip_box(X + init, box)
-        for _ in range(cfg.iters):
+        x_back = None  # the iterate one step before x_adv
+        for it in range(cfg.iters):
             grad = _eot_objective(mix, x_adv, Y, mode, nets.ce_loss)[1]
-            x_adv = x_adv + cfg.step * np.sign(grad)
-            x_adv = np.clip(x_adv, X - eps, X + eps)
-            x_adv = _clip_box(x_adv, box)
+            x_new = np.clip(x_adv + cfg.step * np.sign(grad), lo, hi)
+            if _same_bits(x_new, x_adv):
+                break
+            if _same_bits(x_new, x_back):  # x_adv and x_new alternate from here
+                if (cfg.iters - it - 1) % 2 == 0:
+                    x_adv = x_new
+                break
+            x_back, x_adv = x_adv, x_new
         loss = _eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
         if best_x is None:  # a stack's row shape is known after its first pass
             best_x = np.array(np.broadcast_to(X, loss.shape + X.shape[-1:]))

@@ -17,8 +17,9 @@ from .errors import InvalidInput
 from .hypotheses import MixedClassifier, Mlp, as_mixture
 from .training import TrainConfig, _first_classifier, grid_search_alpha, train_natural
 
-# PGD of the desk-scale benchmark (unit box, eps_inf 0.08): 20 steps to train,
-# 100 steps with two restarts to select and evaluate.
+# PGD of the desk-scale benchmark (unit box, eps_inf 0.08): up to 20 steps to
+# train, up to 100 steps with two restarts to select and evaluate (a restart
+# stops once its iterate repeats; see attacks.pgd_linf_batch).
 EPS = 0.08
 ATTACK_TRAIN = PgdConfig(EPS, EPS / 4, 20, 1, True, 0)
 ATTACK_EVAL = PgdConfig(EPS, EPS / 10, 100, 2, True, 0)

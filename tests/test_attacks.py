@@ -327,6 +327,111 @@ def test_stacked_nets_are_attacked_as_independent_nets(mode, shared_rows):
         assert _same_bits(points[k], want_points) and _same_bits(losses[k], want_losses)
 
 
+def _pgd_full_length(model, X, Y, cfg, box=(0.0, 1.0), mode="eot_logits"):
+    """Reference PGD: every restart runs all cfg.iters steps, and each step
+    clips to the ball, then to the box. pgd_linf_batch must match its bits."""
+    mix = attacks._batched(model)
+    X, Y = attacks._rows(X, Y)
+    eps = cfg.epsilon_inf
+    best_x = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng((cfg.seed, restart))
+        init = rng.uniform(-eps, eps, X.shape[-2:]) if cfg.random_init else 0.0
+        x_adv = attacks._clip_box(X + init, box)
+        for _ in range(cfg.iters):
+            grad = attacks._eot_objective(mix, x_adv, Y, mode, nets.ce_loss)[1]
+            x_adv = x_adv + cfg.step * np.sign(grad)
+            x_adv = np.clip(x_adv, X - eps, X + eps)
+            x_adv = attacks._clip_box(x_adv, box)
+        loss = attacks._eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
+        if best_x is None:
+            best_x = np.array(np.broadcast_to(X, loss.shape + X.shape[-1:]))
+            best_loss = np.full(loss.shape, -np.inf)
+        better = loss > best_loss
+        best_x[better] = x_adv[better]
+        best_loss[better] = loss[better]
+    return best_x, best_loss
+
+
+def _ridge(c):
+    """A one-input ridge: margin 2 * (0.9 * |x0 - c| + 1) from two leaky units.
+    Signed ascent on y = +1 walks x0 to c and then straddles it."""
+    return Mlp(nets.MlpModel([np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([[1.0], [1.0]])],
+                             [np.array([-c, c]), np.array([1.0])]))
+
+
+def _exit_cases():
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.1, 0.9, (30, 2))
+    Y = np.where(rng.random(30) < 0.5, 1, -1)
+    mlp = Mlp(nets.init_mlp((2, 16, 16, 2), seed=3))
+    mix = MixedClassifier((mlp, Mlp(nets.init_mlp((2, 8, 1), seed=4)),
+                           ag.Linear((0.7, -1.3), -0.05)), (0.5, 0.3, 0.2))
+    lone = [nets.init_mlp((2, 8, 8, 2), seed=s) for s in (3, 4, 5)]
+    stack = Mlp(nets.stack(lone))
+    XK = rng.uniform(0.1, 0.9, (3, 30, 2))
+    YK = np.where(rng.random((3, 30)) < 0.5, 1, -1)
+    return {
+        "linear": (ag.Linear((0.7, -1.3), -0.1), X, Y, (0.0, 1.0), "eot_logits"),
+        "mlp": (mlp, X, Y, (0.0, 1.0), "eot_logits"),
+        "mixture-eot_logits": (mix, X, Y, (0.0, 1.0), "eot_logits"),
+        "mixture-eot_loss": (mix, X, Y, (0.0, 1.0), "eot_loss"),
+        "stack-own-rows": (stack, XK, YK, (0.0, 1.0), "eot_logits"),
+        "stack-shared-rows": (stack, X, Y, (0.0, 1.0), "eot_loss"),
+        "no-box": (mlp, X, Y, None, "eot_logits"),
+        "ridge": (_ridge(0.5 + np.pi / 1000), X, np.ones(30, dtype=int), (0.0, 1.0),
+                  "eot_logits"),
+    }
+
+
+@pytest.mark.parametrize("iters", [60, 61])
+@pytest.mark.parametrize("case", sorted(_exit_cases()))
+def test_pgd_early_exit_matches_full_length_loop(case, iters):
+    model, X, Y, box, mode = _exit_cases()[case]
+    for cfg in (ag.PgdConfig(0.3, 0.01, iters, restarts=2, seed=1),
+                ag.PgdConfig(0.08, 0.02, iters, restarts=2, seed=2),
+                ag.PgdConfig(0.05, 0.05, iters, random_init=False)):
+        got = pgd_linf_batch(model, X, Y, cfg, box, mode)
+        want = _pgd_full_length(model, X, Y, cfg, box, mode)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def test_linear_pgd_stops_at_its_fixed_point(monkeypatch):
+    # a linear margin's gradient sign is constant: every row walks to its ball
+    # corner in at most 2 eps / step = 8 steps, and the 9th step repeats it
+    model, X, Y, box, mode = _exit_cases()["linear"]
+    cfg = ag.PgdConfig(0.08, 0.02, 60, restarts=2, seed=2)
+    steps = []
+    objective = attacks._eot_objective
+
+    def counted(*args):
+        steps.append(1)
+        return objective(*args)
+    monkeypatch.setattr(attacks, "_eot_objective", counted)
+    pgd_linf_batch(model, X, Y, cfg, box, mode)
+    assert len(steps) == 2 * 9
+
+
+@pytest.mark.parametrize("iters", [200, 201])
+def test_ridge_pgd_stops_in_its_two_point_cycle(iters, net_calls):
+    model, X, Y, box, mode = _exit_cases()["ridge"]
+    cfg = ag.PgdConfig(0.3, 0.01, iters, restarts=2, seed=1)
+    points = pgd_linf_batch(model, X, Y, cfg, box, mode)[0]
+    # every row reaches c within 50 steps of 0.01 from its start in the unit
+    # box: two restarts of 50 and 52 steps, each final iterate scored by one
+    # more forward pass, against 2 * iters steps without the exit
+    assert net_calls == {"forward_cached": 104, "backward": 102}
+    assert _same_bits(points, _pgd_full_length(model, X, Y, cfg, box, mode)[0])
+    # a two-point cycle, not a fixed point: the parity of iters picks the point
+    other = pgd_linf_batch(model, X, Y, ag.PgdConfig(0.3, 0.01, iters + 1, restarts=2, seed=1),
+                           box, mode)[0]
+    assert not np.array_equal(points, other)
+    # rows whose ball holds the ridge end within one step of it
+    near = np.abs(X[:, 0] - 0.5 - np.pi / 1000) < 0.3
+    assert 0 < near.sum() < len(X)
+    assert np.all(np.abs(points[near, 0] - 0.5 - np.pi / 1000) < 0.01)
+
+
 # ---------------------------------------------------------------------------
 # C&W
 # ---------------------------------------------------------------------------
