@@ -32,10 +32,22 @@ _TRAIN_KEYS = {"mode", "epochs", "batch_size", "lr_stages", "momentum",
                "weight_decay", "seed", "sizes"}
 _TRAIN_FIELDS = {"epochs": int, "batch_size": int, "momentum": float, "weight_decay": float,
                  "seed": int, "lr_stages": lambda v: tuple((int(e), float(lr)) for e, lr in v)}
+
+
+def _exactly(kind):
+    """A converter that passes a value of this JSON type through and rejects
+    any other (bool("false") is True, str(5) is "5")."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}")
+        return value
+    return check
+
+
 _PGD_FIELDS = {"epsilon_inf": float, "step": float, "iters": int, "restarts": int,
-               "random_init": bool, "seed": int}
+               "random_init": _exactly(bool), "seed": int}
 _CW_FIELDS = {"lr": float, "binary_search_steps": int, "initial_const": float, "iters": int,
-              "abort_early": bool}
+              "abort_early": _exactly(bool)}
 _ATTACK_KEYS = {"pgd", "cw", "box", "reject_thresholds", "eval_pgd"}
 _BAT_KEYS = {"n", "alpha_bat", "first_candidates", "first_best_aua"}
 _TOP_KEYS = {"distribution", "game", "hypothesis", "rounds", "improvement_threshold",
@@ -44,17 +56,28 @@ _TOP_KEYS = {"distribution", "game", "hypothesis", "rounds", "improvement_thresh
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
 def _converted(field: str, value, convert):
-    """convert(value); a value of the wrong type or shape is a ConfigError."""
+    """convert(value); a value of the wrong type or shape is a ConfigError.
+
+    An AdvGameError that convert raises keeps its own message.
+    """
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except AdvGameError:
+        raise
+    except (TypeError, ValueError, AttributeError):
         raise ConfigError(f"{field} has the wrong type or shape: {value!r}") from None
+
+
+def _float_list(value) -> list[float]:
+    return [float(v) for v in value]
 
 
 def _parse_game(raw: dict) -> game.GameConfig:
@@ -72,16 +95,15 @@ def _parse_game(raw: dict) -> game.GameConfig:
     )
 
 
-def _parse_attack(raw: dict, kind: str, config_type, converters: dict):
+def _parse_attack(raw: dict, where: str, config_type, converters: dict):
     """An attack config: each field from raw, else from the preset, else the
     dataclass default."""
-    where = f"attack.{kind}"
     _reject_unknown(raw, set(converters) | {"preset"}, where)
     defaults = {f.name: f.default for f in fields(config_type) if f.default is not MISSING}
     if "preset" in raw:
         base = attacks.ATTACK_PRESETS.get(raw["preset"])
         if not isinstance(base, config_type):
-            raise ConfigError(f"unknown {kind} preset {raw['preset']!r}")
+            raise ConfigError(f"unknown {where} preset {raw['preset']!r}")
         defaults = asdict(base)
     return config_type(**{key: _converted(f"{where}.{key}", raw[key] if key in raw
                                           else defaults[key], convert)
@@ -89,11 +111,11 @@ def _parse_attack(raw: dict, kind: str, config_type, converters: dict):
 
 
 def _parse_pgd(raw: dict) -> attacks.PgdConfig:
-    return _parse_attack(raw, "pgd", attacks.PgdConfig, _PGD_FIELDS)
+    return _parse_attack(raw, "attack.pgd", attacks.PgdConfig, _PGD_FIELDS)
 
 
 def _parse_cw(raw: dict) -> attacks.CwConfig:
-    return _parse_attack(raw, "cw", attacks.CwConfig, _CW_FIELDS)
+    return _parse_attack(raw, "attack.cw", attacks.CwConfig, _CW_FIELDS)
 
 
 def _parse_train(raw: dict, preset: str | None) -> tuple[str, training.TrainConfig]:
@@ -114,7 +136,7 @@ def _load_data(cfg: dict, spec) -> tuple:
     raw = cfg.get("data", {})
     _reject_unknown(raw, _DATA_KEYS, "data")
     if raw.get("csv"):
-        full = distributions.measure_from_csv(raw["csv"])
+        full = distributions.measure_from_csv(_converted("data.csv", raw["csv"], _exactly(str)))
         n_test = _converted("data.n_test", raw.get("n_test", 0), int)
         if n_test:
             train = distributions.EmpiricalMeasure(
@@ -175,12 +197,12 @@ def _emit(out_dir: str, name: str, subcommand: str, resolved: dict,
 def _spec_of(cfg: dict):
     if "distribution" not in cfg:
         return None
-    return distributions.spec_from_dict(cfg["distribution"])
+    return _converted("distribution", cfg["distribution"], distributions.spec_from_dict)
 
 
 def _hypothesis_of(cfg: dict, spec):
     if "hypothesis" in cfg:
-        return hypotheses.hypothesis_from_dict(cfg["hypothesis"])
+        return _converted("hypothesis", cfg["hypothesis"], hypotheses.hypothesis_from_dict)
     if spec is not None:
         return hypotheses.Threshold(0.0)
     raise ConfigError("this subcommand needs a 'hypothesis' or a 'distribution'")
@@ -234,8 +256,9 @@ def _run_no_nash(cfg, out_dir, preset):
     gc = _parse_game(cfg["game"])
     rep = theorems.verify_no_pure_nash(
         spec, gc,
-        rounds=int(cfg.get("rounds", 5)),
-        threshold=float(cfg.get("improvement_threshold", 1e-6)),
+        rounds=_converted("rounds", cfg.get("rounds", 5), int),
+        threshold=_converted("improvement_threshold",
+                             cfg.get("improvement_threshold", 1e-6), float),
     )
     return rep.to_dict(), rep.passed, []
 
@@ -246,14 +269,16 @@ def _run_rand_gap(cfg, out_dir, preset):
     h1 = _hypothesis_of(cfg, spec)
     oracle = cfg.get("oracle", {})
     _reject_unknown(oracle, {"inner", "per_piece", "enabled"}, "oracle")
+    delta = cfg.get("delta")
     rep = theorems.randomization_gap(
         h1, spec, gc,
-        alpha_thm=float(cfg["alpha_thm"]),
-        delta=None if cfg.get("delta") is None else float(cfg["delta"]),
-        run_oracle=bool(oracle.get("enabled", True)),
-        oracle_inner=int(oracle.get("inner", 1025)),
-        oracle_per_piece=int(oracle.get("per_piece", 256)),
-        threshold=float(cfg.get("improvement_threshold", 1e-6)),
+        alpha_thm=_converted("alpha_thm", cfg["alpha_thm"], float),
+        delta=None if delta is None else _converted("delta", delta, float),
+        run_oracle=_converted("oracle.enabled", oracle.get("enabled", True), _exactly(bool)),
+        oracle_inner=_converted("oracle.inner", oracle.get("inner", 1025), int),
+        oracle_per_piece=_converted("oracle.per_piece", oracle.get("per_piece", 256), int),
+        threshold=_converted("improvement_threshold",
+                             cfg.get("improvement_threshold", 1e-6), float),
     )
     return rep.to_dict(), rep.passed, []
 
@@ -261,8 +286,9 @@ def _run_rand_gap(cfg, out_dir, preset):
 def _run_fig1(cfg, out_dir, preset):
     spec = _spec_of(cfg)
     gc = _parse_game(cfg["game"])
-    paths = theorems.fig1_export(spec, gc, out_dir,
-                                 resolution=int(cfg.get("resolution", 2001)))
+    paths = theorems.fig1_export(
+        spec, gc, out_dir,
+        resolution=_converted("resolution", cfg.get("resolution", 2001), int))
     return {"files": [os.path.basename(p) for p in paths]}, True, paths
 
 
@@ -273,7 +299,8 @@ def _run_train(cfg, out_dir, preset):
     _reject_unknown(attack_raw, _ATTACK_KEYS, "attack")
     box = _box(cfg)
     data, test = _load_data(cfg, spec)
-    eval_pgd = _parse_pgd(attack_raw["eval_pgd"]) if "eval_pgd" in attack_raw else None
+    eval_pgd = (_parse_attack(attack_raw["eval_pgd"], "attack.eval_pgd", attacks.PgdConfig,
+                              _PGD_FIELDS) if "eval_pgd" in attack_raw else None)
     if mode == "adversarial":
         pgd = _parse_pgd(attack_raw.get("pgd", {"preset": "pgd_train_paper"}))
         model, trace = training.train_adversarial(
@@ -311,13 +338,15 @@ def _run_bat(cfg, out_dir, preset):
     pgd = _parse_pgd(attack_raw.get("pgd", {"preset": "pgd_train_paper"}))
     mixture = training.bat(
         data,
-        n=int(bat_raw.get("n", 2)),
-        alpha_bat=float(bat_raw.get("alpha_bat", 0.2)),
+        n=_converted("bat.n", bat_raw.get("n", 2), int),
+        alpha_bat=_converted("bat.alpha_bat", bat_raw.get("alpha_bat", 0.2), float),
         cfg=tc,
         attack_cfg=pgd,
         box=box,
-        first_candidates=int(bat_raw.get("first_candidates", 1)),
-        first_best_aua=bool(bat_raw.get("first_best_aua", True)),
+        first_candidates=_converted("bat.first_candidates",
+                                    bat_raw.get("first_candidates", 1), int),
+        first_best_aua=_converted("bat.first_best_aua",
+                                  bat_raw.get("first_best_aua", True), _exactly(bool)),
         eval_set=test,
     )
     os.makedirs(out_dir, exist_ok=True)
@@ -328,6 +357,15 @@ def _run_bat(cfg, out_dir, preset):
     if test is not None:
         results["test_acc"] = attacks.accuracy(mixture, test.points, test.labels)
     return results, True, [path]
+
+
+def _model_entries(cfg: dict) -> list[dict]:
+    """The 'models' list; every entry is a {name, path} object."""
+    models = _converted("models", cfg.get("models", []), _exactly(list))
+    for entry in models:
+        _reject_unknown(entry, {"name", "path"}, "models[]")
+        _converted("models[].path", entry.get("path"), _exactly(str))
+    return models
 
 
 def _load_model(path):
@@ -348,14 +386,14 @@ def _run_evaluate(cfg, out_dir, preset):
         raise ConfigError("evaluate needs test data (data.n_test or a csv)")
     pgd = _parse_pgd(attack_raw.get("pgd", {"preset": "pgd_paper"}))
     cw = _parse_cw(attack_raw.get("cw", {"preset": "cw_paper"}))
-    thresholds = [float(v) for v in
-                  attack_raw.get("reject_thresholds", attacks.CW_REJECT_THRESHOLDS)]
-    models = cfg.get("models")
+    thresholds = _converted(
+        "attack.reject_thresholds",
+        attack_raw.get("reject_thresholds", attacks.CW_REJECT_THRESHOLDS), _float_list)
+    models = _model_entries(cfg)
     if not models:
         raise ConfigError("evaluate needs a 'models' list of {name, path}")
     rows = []
     for entry in models:
-        _reject_unknown(entry, {"name", "path"}, "models[]")
         model = _load_model(entry["path"])
         row = {
             "name": entry["name"],
@@ -384,13 +422,16 @@ def _run_alpha_grid(cfg, out_dir, preset):
     _reject_unknown(attack_raw, _ATTACK_KEYS, "attack")
     box = _box(cfg)
     _, test = _load_data(cfg, spec)
-    models = cfg.get("models")
-    if not models or len(models) != 2:
+    if test is None:
+        raise ConfigError("alpha-grid needs validation data (data.n_test or a csv)")
+    pgd = _parse_pgd(attack_raw.get("pgd", {"preset": "pgd_paper"}))
+    candidates = _converted("candidates", cfg.get("candidates", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+                            _float_list)
+    models = _model_entries(cfg)
+    if len(models) != 2:
         raise ConfigError("alpha-grid needs exactly two entries in 'models'")
     h1 = _load_model(models[0]["path"])
     h2 = _load_model(models[1]["path"])
-    pgd = _parse_pgd(attack_raw.get("pgd", {"preset": "pgd_paper"}))
-    candidates = cfg.get("candidates", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
     best, table = training.grid_search_alpha(h1, h2, test, candidates, pgd, box=box)
     return {"alpha": best, "table": [[a, acc] for a, acc in table]}, True, []
 
@@ -431,9 +472,12 @@ def main(argv=None) -> int:
         _reject_unknown(cfg, _TOP_KEYS, "config")
         if args.seed is not None:
             cfg["seed"] = args.seed
-            cfg.setdefault("data", {})["seed"] = args.seed
+            data = cfg.setdefault("data", {})
+            _reject_unknown(data, _DATA_KEYS, "data")
+            data["seed"] = args.seed
         cfg.setdefault("seed", 0)
-        out_dir = args.out or cfg.get("out_dir", "out")
+        out_dir = _converted("out_dir", cfg.get("out_dir", "out"), _exactly(str))
+        out_dir = args.out or out_dir
         results, passed, artifacts = _HANDLERS[args.subcommand](cfg, out_dir, args.preset)
     except (ConfigError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         detail = exc.args[0] if exc.args else exc

@@ -244,13 +244,10 @@ def interval_abs_moment(spec: DistributionSpec, label: int, ivs: list[iv.Iv], c:
     _check_1d(spec)
     total = 0.0
     for lo, hi in iv.normalize(list(ivs)):
-        if hi <= c:
-            total += interval_affine_moment(spec, label, [(lo, hi)], c, -1.0)
-        elif lo >= c:
-            total += interval_affine_moment(spec, label, [(lo, hi)], -c, 1.0)
-        else:
-            total += interval_affine_moment(spec, label, [(lo, c)], c, -1.0)
-            total += interval_affine_moment(spec, label, [(c, hi)], -c, 1.0)
+        if lo < c:
+            total += interval_affine_moment(spec, label, [(lo, min(hi, c))], c, -1.0)
+        if hi > c:
+            total += interval_affine_moment(spec, label, [(max(lo, c), hi)], -c, 1.0)
     return float(total)
 
 
@@ -327,7 +324,8 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
 def spec_from_dict(d: dict) -> DistributionSpec:
     def comps(raw):
         return tuple(
-            GaussianComponent(float(c["weight"]), tuple(c["mean"]), tuple(c["var"]))
+            GaussianComponent(float(c["weight"]), tuple(float(v) for v in c["mean"]),
+                              tuple(float(v) for v in c["var"]))
             for c in raw
         )
 

@@ -46,8 +46,9 @@ from .hypotheses import (
     Interval1D,
     Linear,
     MixedClassifier,
-    _cell_midpoint,
     as_mixture,
+    ball_offsets,
+    cell_probes,
     interval_form,
     make_interval1d,
     bayes_optimal,
@@ -104,6 +105,16 @@ def perturbation_norms(X: np.ndarray, Z: np.ndarray, norm_kind: str) -> np.ndarr
     return np.linalg.norm(d, axis=1)
 
 
+def _penalty_of_norms(norms: np.ndarray, penalty: str) -> np.ndarray:
+    """Per-point Omega of perturbations with these norms, before the factor lam:
+    1{moved} for mass, the norm for norm, 0 for none."""
+    if penalty == "mass":
+        return (norms > 0).astype(float)
+    if penalty == "norm":
+        return norms
+    return np.zeros_like(norms)
+
+
 def check_budget(X: np.ndarray, Z: np.ndarray, attack) -> None:
     norms = perturbation_norms(X, Z, attack.norm_kind)
     worst = float(norms.max()) if norms.size else 0.0
@@ -158,9 +169,7 @@ class ZoneAttack1D(AttackMap):
         return self.budget - OVERSHOOT if self.mode == "mass" else self.budget
 
     def zone(self, label: int) -> list[iv.Iv]:
-        own = self.form.sign_intervals(label)
-        other = self.form.sign_intervals(-label)
-        return iv.intersect(own, iv.dilate(other, self.radius))
+        return self.form.band(label, self.radius)
 
     def pieces(self, label: int) -> list[tuple[float, float, float]]:
         """(lo, hi, atom location) pieces of the zone, split at target midpoints."""
@@ -340,29 +349,20 @@ def _error_profile(model) -> tuple[list[float], np.ndarray, np.ndarray]:
     breaks = sorted({b for f in forms for b in f.breaks})
     err_pos = np.zeros(len(breaks) + 1)
     err_neg = np.zeros(len(breaks) + 1)
+    probes = cell_probes(breaks)
     for q, f in zip(mix.weights, forms):
-        idx = np.searchsorted(np.asarray(f.breaks), _cell_probes(breaks), side="left")
+        idx = np.searchsorted(np.asarray(f.breaks), probes, side="left")
         signs = np.asarray(f.signs)[idx]
         err_pos += q * (signs != 1)
         err_neg += q * (signs != -1)
     return breaks, err_pos, err_neg
 
 
-def _cell_probes(breaks: list[float]) -> np.ndarray:
-    """A strictly interior probe point of every cell."""
-    edges = [-math.inf] + list(breaks) + [math.inf]
-    return np.array([_cell_midpoint(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
-
-
-def _expected_point_error(model, x: float, label: int) -> float:
-    mix = as_mixture(model)
-    return float(mix.expected_errors(np.array([[x]]), np.array([label]))[0])
-
-
 def _pushforward_errors(model, tr: Transported1D) -> dict[int, float]:
     """E under phi_y # mu_y of the model's expected error, for y = +1 and -1."""
     breaks, err_pos, err_neg = _error_profile(model)
     edges = [-math.inf] + breaks + [math.inf]
+    mix = as_mixture(model)
     out = {}
     for label, errs in ((1, err_pos), (-1, err_neg)):
         s, alive = tr.shift(label), tr.alive(label)
@@ -371,8 +371,12 @@ def _pushforward_errors(model, tr: Transported1D) -> dict[int, float]:
             if e > 0.0:
                 total += e * interval_mass(tr.spec, label,
                                            iv.intersect(alive, [(lo - s, hi - s)]))
-        for loc, m in tr.atoms(label):
-            total += m * _expected_point_error(model, loc, label)
+        atoms = tr.atoms(label)
+        if atoms:
+            locs, masses = zip(*atoms)
+            errs = mix.expected_errors(np.reshape(locs, (-1, 1)), label)
+            for m, e in zip(masses, errs):
+                total += m * float(e)
         out[label] = total
     return out
 
@@ -476,12 +480,7 @@ def _mc_evaluate(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig):
     """Seeded sample, its attacked points and each point's penalty."""
     sample = sample_labeled(spec, cfg.mc_n, cfg.mc_seed)
     moved = pushforward_empirical(sample, attack).points
-    if cfg.penalty == "mass":
-        pens = (perturbation_norms(sample.points, moved, "l2") > 0).astype(float)
-    elif cfg.penalty == "norm":
-        pens = perturbation_norms(sample.points, moved, "l2")
-    else:
-        pens = np.zeros(len(sample))
+    pens = _penalty_of_norms(perturbation_norms(sample.points, moved, "l2"), cfg.penalty)
     return sample, moved, pens
 
 
@@ -658,16 +657,13 @@ def _transported_bayes(tr: Transported1D) -> Interval1D:
         for loc, m in tr.atoms(label):
             atom_masses.setdefault(loc, {1: 0.0, -1: 0.0})[label] += m
     breaks_sorted = sorted(breaks)
-    probes = _cell_probes(breaks_sorted)
-    signs = []
-    for p in probes:
-        w_pos = spec.prior_pos * density(spec, 1, np.array([[p]]))[0]
-        w_neg = (1 - spec.prior_pos) * density(spec, -1, np.array([[p]]))[0]
-        if not iv.contains(tr.alive(1), p):
-            w_pos = 0.0
-        if not iv.contains(tr.alive(-1), p):
-            w_neg = 0.0
-        signs.append(1 if w_pos > w_neg else -1)
+    probes = cell_probes(breaks_sorted)
+    w_pos, w_neg = (
+        np.where(iv.contains(tr.alive(y), probes),
+                 spec.prior(y) * density(spec, y, probes.reshape(-1, 1)), 0.0)
+        for y in (1, -1)
+    )
+    signs = np.where(w_pos > w_neg, 1, -1)
     labels = []
     nu1 = spec.prior_pos
     for loc, masses in atom_masses.items():
@@ -748,13 +744,8 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     without interval forms keeps all grid_n offsets.
     """
     offsets = np.linspace(-cfg.epsilon, cfg.epsilon, grid_n)
-    if cfg.penalty == "mass":
-        pens = cfg.lam * (np.abs(offsets) > 0)
-    elif cfg.penalty == "norm":
-        pens = cfg.lam * np.abs(offsets)
-    else:
-        pens = np.zeros_like(offsets)
     abs_off = np.abs(offsets)
+    pens = cfg.lam * _penalty_of_norms(abs_off, cfg.penalty)
     origin = int(np.argmin(abs_off))
     window = np.arange(-2, 3)
     mix = as_mixture(model)
@@ -793,8 +784,9 @@ def oracle_value_profiles(model, xs: np.ndarray, cfg: GameConfig,
     x; grid points that cannot hold it are skipped (see _ball_grid_values),
     which leaves every value bit-identical to the full grid search.
     """
-    if grid_n % 2 == 0:
-        raise InvalidInput("grid_n must be odd so the grid includes the origin")
+    if grid_n < 3 or grid_n % 2 == 0:
+        raise InvalidInput(f"grid_n must be odd and >= 3 so the grid includes the origin, "
+                           f"got {grid_n}")
     out = {1: np.empty(xs.shape[0]), -1: np.empty(xs.shape[0])}
     for rows, _, _, vals in _ball_grid_values(model, xs, cfg, grid_n, (1, -1)):
         for label in (1, -1):
@@ -834,21 +826,10 @@ def pointwise_attack_oracle(model, x, y: int, cfg: GameConfig,
     mix = as_mixture(model)
     if d == 1:
         return oracle_attack_points_1d(mix, x, y, cfg, grid_n or 4097)[0]
-    n = grid_n or 129
-    side = np.linspace(-cfg.epsilon, cfg.epsilon, n)
-    ox, oy = np.meshgrid(side, side, indexing="ij")
-    offsets = np.column_stack([ox.ravel(), oy.ravel()])
-    if cfg.norm_kind == "l2":
-        offsets = offsets[np.linalg.norm(offsets, axis=1) <= cfg.epsilon]
+    offsets = ball_offsets(cfg.epsilon, grid_n or 129, d, cfg.norm_kind)
     Z = x[None, :] + offsets
-    errs = mix.expected_errors(Z, y)
     norms = np.linalg.norm(offsets, axis=1)
-    if cfg.penalty == "mass":
-        vals = errs - cfg.lam * (norms > 0)
-    elif cfg.penalty == "norm":
-        vals = errs - cfg.lam * norms
-    else:
-        vals = errs
+    vals = mix.expected_errors(Z, y) - cfg.lam * _penalty_of_norms(norms, cfg.penalty)
     best = vals.max()
     cand = np.flatnonzero(vals >= best)
     cand = cand[norms[cand] == norms[cand].min()]

@@ -180,10 +180,7 @@ class BandRegion(Region):
 
     def intervals(self) -> list[iv.Iv]:
         """Exact interval realization, for 1-D interval-formable hypotheses."""
-        form = interval_form(self.h)
-        own = form.sign_intervals(self.side)
-        other = form.sign_intervals(-self.side)
-        return iv.intersect(own, iv.dilate(other, self.delta))
+        return interval_form(self.h).band(self.side, self.delta)
 
 
 def distance_to_sign(h: Hypothesis, X, sign: int, norm_kind: str = "l2") -> np.ndarray:
@@ -236,16 +233,23 @@ def _grid_distance_to_sign(h: Hypothesis, pts: np.ndarray, sign: int,
 
 def _ball_hits_sign(h: Hypothesis, x: np.ndarray, radius: float, sign: int,
                     norm_kind: str) -> bool:
-    offs = np.linspace(-radius, radius, BALL_GRID_N)
-    if h.dimension == 1:
-        Z = x[0] + offs.reshape(-1, 1)
-    else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        Z = np.column_stack([ox.ravel(), oy.ravel()])
-        if norm_kind == "l2":
-            Z = Z[np.linalg.norm(Z, axis=1) <= radius]
-        Z = Z + x
+    Z = x + ball_offsets(radius, BALL_GRID_N, h.dimension, norm_kind)
     return bool(np.any(h.predicts(Z) == sign))
+
+
+def ball_offsets(radius: float, n: int, dim: int, norm_kind: str) -> np.ndarray:
+    """(m, dim) grid of n points per axis over [-radius, radius]^dim.
+
+    In 2-D under the l2 norm only the points of the disc are kept.
+    """
+    side = np.linspace(-radius, radius, n)
+    if dim == 1:
+        return side.reshape(-1, 1)
+    ox, oy = np.meshgrid(side, side, indexing="ij")
+    offsets = np.column_stack([ox.ravel(), oy.ravel()])
+    if norm_kind == "l2":
+        offsets = offsets[np.linalg.norm(offsets, axis=1) <= radius]
+    return offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,31 +323,30 @@ class Interval1D(Hypothesis):
             [(edges[i], edges[i + 1]) for i, s in enumerate(self.signs) if s == sign]
         )
 
+    def band(self, side: int, delta: float) -> list[iv.Iv]:
+        """Cells of sign `side` within delta of the opposite sign: the
+        delta-attackable band P_h(delta) (side=+1) or N_h(delta) (side=-1)."""
+        return iv.intersect(self.sign_intervals(side),
+                            iv.dilate(self.sign_intervals(-side), delta))
+
     def flipped(self, region_ivs: list[iv.Iv]) -> "Interval1D":
         """Sign structure with cells inside the region flipped."""
         edges = sorted(
             set(self.breaks)
             | {e for lo, hi in region_ivs for e in (lo, hi) if math.isfinite(e)}
         )
-        signs = []
-        cells = [-math.inf] + edges + [math.inf]
-        for lo, hi in zip(cells[:-1], cells[1:]):
-            mid = _cell_midpoint(lo, hi)
-            s = int(three_sign(self.decision_values(np.array([[mid]])))[0])
-            if iv.contains(region_ivs, mid):
-                s = -s
-            signs.append(s)
-        return make_interval1d(edges, signs)
+        probes = cell_probes(edges)
+        signs = three_sign(self.decision_values(probes.reshape(-1, 1)))
+        return make_interval1d(edges, np.where(iv.contains(region_ivs, probes), -signs, signs))
 
 
-def _cell_midpoint(lo: float, hi: float) -> float:
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(lo):
-        return hi - 1.0
-    if math.isinf(hi):
-        return lo + 1.0
-    return 0.5 * (lo + hi)
+def cell_probes(breaks) -> np.ndarray:
+    """A strictly interior probe point of every cell between sorted breaks:
+    the midpoint, 1 past the end of an unbounded cell, 0.0 for the whole line."""
+    if len(breaks) == 0:
+        return np.array([0.0])
+    b = np.asarray(breaks, dtype=float)
+    return np.concatenate([[b[0] - 1.0], 0.5 * (b[:-1] + b[1:]), [b[-1] + 1.0]])
 
 
 def make_interval1d(breaks, signs, point_labels=()) -> Interval1D:
@@ -376,16 +379,8 @@ def interval_form(h: Hypothesis) -> Interval1D:
         if h.dimension != 1:
             raise UnsupportedKind("interval form needs a 1-D hypothesis")
         roots = bayes_roots(h.spec)
-        if not roots:
-            s = int(three_sign(h.decision_value(np.zeros(1))))
-            return Interval1D((), (s if s != 0 else 1,))
-        cells = [-math.inf] + roots + [math.inf]
-        signs = []
-        for lo, hi in zip(cells[:-1], cells[1:]):
-            mid = _cell_midpoint(lo, hi)
-            s = int(three_sign(h.decision_value(np.array([mid]))))
-            signs.append(s if s != 0 else 1)
-        return make_interval1d(roots, signs)
+        signs = three_sign(h.decision_values(cell_probes(roots).reshape(-1, 1)))
+        return make_interval1d(roots, np.where(signs == 0, 1, signs))
     if isinstance(h, RegionFlip):
         base = interval_form(h.base)
         return base.flipped(_region_intervals(h.region))

@@ -30,7 +30,7 @@ from .distributions import (
     interval_affine_moment,
     interval_mass,
 )
-from .errors import ConfigError, TheoremRangeError, UnsupportedKind
+from .errors import ConfigError, InvalidInput, TheoremRangeError, UnsupportedKind
 from .game import (
     GameConfig,
     adversarial_score,
@@ -96,6 +96,8 @@ def verify_no_pure_nash(spec: DistributionSpec, cfg: GameConfig, rounds: int = 5
         raise ConfigError("the dynamics verifier runs on the exact 1-D layer")
     if cfg.penalty not in ("mass", "norm"):
         raise ConfigError("no-pure-Nash dynamics need a mass or norm penalty")
+    if rounds < 1:
+        raise ConfigError(f"rounds must be >= 1, got {rounds}")
     cfg = replace(cfg, eval_method="quadrature")  # assertions use the exact path
     h = interval_form(bayes_optimal(spec))
     out = []
@@ -259,18 +261,12 @@ def _norm_gap_band_term(spec, t, up, eps, tau, delta, lam, a) -> float:
         if u_hi <= u_lo:
             continue
         u_cross = -c / lam  # below this depth the mixture option is worthless
-        for lo_u, hi_u, integrand in (
-            (max(u_lo, u_cross), u_hi, ("const", 1.0 - c)),
-            (u_lo, min(u_hi, u_cross), ("affine", None)),
-        ):
-            if hi_u <= lo_u:
-                continue
-            x_iv = _u_interval(t, up, lo_u, hi_u)
-            if integrand[0] == "const":
-                total += integrand[1] * interval_mass(spec, label, [x_iv])
-            else:  # 1 + lam*u, u = up*(x - t)
-                const = 1.0 - lam * up * t
-                total += interval_affine_moment(spec, label, [x_iv], const, lam * up)
+        if max(u_lo, u_cross) < u_hi:  # integrand 1 - c
+            x_iv = _u_interval(t, up, max(u_lo, u_cross), u_hi)
+            total += (1.0 - c) * interval_mass(spec, label, [x_iv])
+        if u_lo < min(u_hi, u_cross):  # integrand 1 + lam*u, u = up*(x - t)
+            x_iv = _u_interval(t, up, u_lo, min(u_hi, u_cross))
+            total += interval_affine_moment(spec, label, [x_iv], 1.0 - lam * up * t, lam * up)
     return total
 
 
@@ -284,6 +280,8 @@ def worst_case_score_oracle(model, spec: DistributionSpec, cfg: GameConfig,
     ever sits on a kink or touches a cell boundary with the ball endpoint.
     The inner grid contains the origin and both ball endpoints.
     """
+    if per_piece < 1:
+        raise InvalidInput(f"per_piece must be >= 1, got {per_piece}")
     mix = as_mixture(model)
     breaks = sorted({b for h in mix.hypotheses for b in interval_form(h).breaks})
     lo_b, hi_b = spec.bounds()
@@ -362,6 +360,8 @@ def fig1_export(spec: DistributionSpec, cfg: GameConfig, out_dir,
 
     if spec.dimension != 1:
         raise ConfigError("figure export is 1-D")
+    if resolution < 2:
+        raise ConfigError(f"resolution must be >= 2, got {resolution}")
     os.makedirs(out_dir, exist_ok=True)
     lo, hi = spec.bounds()
     xs = np.linspace(float(lo[0]), float(hi[0]), resolution)

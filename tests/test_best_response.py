@@ -172,6 +172,14 @@ def test_oracle_2d_ball_and_dimension_guard(cfg_mass):
     h = ag.Linear((1.0, 0.0), -0.5)
     z = pointwise_attack_oracle(h, np.array([0.55, 0.5]), 1, cfg_mass, grid_n=41)
     assert h.predict(z) != 1  # crossed
+    # g = x + y - 1 lies 0.112 away in l2 and 0.079 in linf: only the square reaches it,
+    # and with no penalty its least-l2 wrong grid point is the diagonal one
+    diag = ag.Linear((1.0, 1.0), -1.0)
+    x = np.array([0.421, 0.421])
+    for norm_kind, move in (("l2", 0.0), ("linf", 0.08)):
+        z = pointwise_attack_oracle(diag, x, -1, GameConfig("none", 0.3, 0.1, norm_kind),
+                                    grid_n=41)
+        np.testing.assert_allclose(z, x + move, rtol=0, atol=1e-12)
     from advgame.errors import UnsupportedDimension
 
     with pytest.raises(UnsupportedDimension):

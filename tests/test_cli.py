@@ -176,7 +176,7 @@ def test_train_bat_evaluate_alpha_grid_pipeline(tmp_path):
     cfg = _training_config(tmp_path)
     assert cli.main(["train", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "model.json"))
-    trace = open(os.path.join(out, "trace.csv")).read().splitlines()
+    trace = Path(out, "trace.csv").read_text().splitlines()
     assert trace[0] == "epoch,train_loss,train_acc,eval_acc_under_attack"
     assert len(trace) == 6
 
@@ -200,7 +200,7 @@ def test_train_bat_evaluate_alpha_grid_pipeline(tmp_path):
     for row in rows:
         for eps2 in (0.4, 0.6, 0.8):
             assert f"cw_acc_eps{eps2:g}" in row
-    table = open(os.path.join(out_eval, "evaluation.csv")).read().splitlines()
+    table = Path(out_eval, "evaluation.csv").read_text().splitlines()
     assert table[0].startswith("name,natural_acc,pgd_acc,cw_acc_eps0.4")
 
     cfg_grid = _training_config(
@@ -282,9 +282,39 @@ def test_shipped_game_config_runs_every_game_subcommand(tmp_path):
     ("evaluate", ("attack", "cw", "binary_search_steps"), "x"),
     ("evaluate", ("attack", "cw", "initial_const"), None),
     ("evaluate", ("attack", "cw", "iters"), [20]),
+    ("no-nash", ("rounds",), "x"),
+    ("no-nash", ("improvement_threshold",), "x"),
+    ("rand-gap", ("alpha_thm",), "x"),
+    ("rand-gap", ("delta",), "x"),
+    ("fig1", ("resolution",), "x"),
+    ("rand-gap", ("oracle", "inner"), "x"),
+    ("rand-gap", ("oracle", "per_piece"), "x"),
+    ("bat", ("bat", "n"), "x"),
+    ("bat", ("bat", "alpha_bat"), "x"),
+    ("bat", ("bat", "first_candidates"), "x"),
+    ("evaluate", ("attack", "reject_thresholds"), ["x"]),
+    ("evaluate", ("attack", "reject_thresholds"), 0.4),
+    ("alpha-grid", ("candidates",), ["x"]),
+    ("alpha-grid", ("candidates",), 0.5),
+    ("risk", ("out_dir",), 5),
+    # flags take only JSON true or false: bool("false") would be True
+    ("rand-gap", ("oracle", "enabled"), "false"),
+    ("bat", ("bat", "first_best_aua"), "false"),
+    ("train", ("attack", "pgd", "random_init"), "false"),
+    ("evaluate", ("attack", "cw", "abort_early"), 0),
 ])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, sub, keys, value):
-    path = (write_config(tmp_path) if sub == "risk"
+    path = _config_with(tmp_path, sub, keys, value)
+    assert cli.main([sub, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {'.'.join(keys)} has the wrong type" in capsys.readouterr().err
+
+
+_GAME_SUBCOMMANDS = ("risk", "score", "best-response", "no-nash", "rand-gap", "fig1")
+
+
+def _config_with(tmp_path, sub, keys, value):
+    """A runnable config for sub with the field at keys set to value."""
+    path = (write_config(tmp_path, {"alpha_thm": 0.8}) if sub in _GAME_SUBCOMMANDS
             else _training_config(tmp_path, models=[{"name": "m", "path": "unused.json"}]))
     raw = json.loads(Path(path).read_text())
     if sub == "train":
@@ -294,8 +324,66 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, sub, keys, val
         section = section.setdefault(key, {})
     section[keys[-1]] = value
     Path(path).write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("sub, keys, value", [
+    ("risk", ("game",), 5),
+    ("risk", ("game", "eval"), 5),
+    ("rand-gap", ("oracle",), 5),
+    ("train", ("data",), 5),
+    ("train", ("train",), 5),
+    ("train", ("attack",), 5),
+    ("train", ("attack", "pgd"), 5),
+    ("train", ("attack", "eval_pgd"), 5),
+    ("bat", ("bat",), 5),
+    ("risk", ("distribution",), 5),
+    ("risk", ("hypothesis",), 5),
+    ("evaluate", ("models",), [5]),
+    ("evaluate", ("models",), 5),
+    ("risk", ("distribution", "prior_pos"), "x"),
+    ("risk", ("distribution", "dimension"), "x"),
+    ("risk", ("hypothesis", "t"), "x"),
+    ("risk", ("hypothesis", "orientation"), "x"),
+    ("risk", ("distribution", "components_pos"), [{"weight": 1.0, "mean": ["a"], "var": [1.0]}]),
+    # degenerate counts are config errors, not verdicts
+    ("no-nash", ("rounds",), 0),
+    ("rand-gap", ("oracle", "per_piece"), 0),
+    ("rand-gap", ("oracle", "per_piece"), -4),
+    ("fig1", ("resolution",), 0),
+])
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, sub, keys, value):
+    path = _config_with(tmp_path, sub, keys, value)
     assert cli.main([sub, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: {'.'.join(keys)} has the wrong type" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and keys[-1] in err
+
+
+def test_alpha_grid_without_validation_data_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x0,x1,label\n0.2,0.3,-1\n0.7,0.6,1\n")
+    path = _config_with(tmp_path, "alpha-grid", ("data",), {"csv": str(csv_path)})
+    assert cli.main(["alpha-grid", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: alpha-grid needs validation data" in capsys.readouterr().err
+
+
+def test_seed_override_needs_a_data_object(tmp_path, capsys):
+    path = _config_with(tmp_path, "risk", ("data",), 5)
+    assert cli.main(["risk", "--config", path, "--out", str(tmp_path / "o"), "--seed", "3"]) == 2
+    assert "config error: data must be a JSON object" in capsys.readouterr().err
+
+
+def test_convert_keeps_the_message_of_a_package_error(tmp_path, capsys):
+    path = _config_with(tmp_path, "risk", ("distribution", "prior_pos"), 1.5)
+    assert cli.main(["risk", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: prior_pos must be in (0, 1), got 1.5" in capsys.readouterr().err
+
+
+def test_flag_false_turns_the_oracle_off(tmp_path):
+    path = _config_with(tmp_path, "rand-gap", ("oracle", "enabled"), False)
+    out = str(tmp_path / "o")
+    assert cli.main(["rand-gap", "--config", path, "--out", out]) == 0
+    assert read_report(out, "rand_gap_report.json")["results"]["gap_oracle"] is None
 
 
 def test_preset_override_and_csv_split_of_the_wrong_type_exit_2(tmp_path, capsys):

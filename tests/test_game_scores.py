@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from advgame.game import (
     IdentityAttack,
     ZoneAttack1D,
     adversarial_score,
+    best_response_attack,
     penalty_value,
     risk,
     score_decomposition,
@@ -212,6 +214,16 @@ def test_score_monte_carlo_reports_stderr(spec_1d):
     assert rep.stderr is not None and rep.stderr > 0
     exact = adversarial_score(h, attack, spec_1d, GameConfig("mass", 0.3, 0.5))
     assert abs(rep.score - exact.score) < 6 * rep.stderr
+    # the norm and the penalty-free best responses, with their per-point penalties
+    for penalty in ("norm", "none"):
+        exact_cfg = GameConfig(penalty, 0.3, 0.5)
+        mc_cfg = replace(exact_cfg, eval_method="monte_carlo", mc_n=20000, mc_seed=1)
+        attack = best_response_attack(h, spec_1d, exact_cfg)
+        rep = adversarial_score(h, attack, spec_1d, mc_cfg)
+        exact = adversarial_score(h, attack, spec_1d, exact_cfg)
+        assert abs(rep.score - exact.score) < 4 * rep.stderr
+        assert abs(rep.penalty_value - exact.penalty_value) < 0.002
+        assert (rep.penalty_value == 0.0) == (penalty == "none")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from advgame.hypotheses import (
     Binned2D,
     Interval1D,
     as_mixture,
+    distance_to_sign,
     hypothesis_from_dict,
     hypothesis_to_dict,
     interval_form,
@@ -86,6 +87,11 @@ def test_bayes_degenerate_prior_limit():
     h = ag.bayes_optimal(spec)
     for x in (-3.0, 0.0, 3.0):
         assert h.predict(np.array([x])) == 1
+    # equal class conditionals: no Bayes root, one cell with the larger prior's sign
+    same = (ag.GaussianComponent(1.0, (0.0,), (1.0,)),)
+    for prior, sign in ((0.7, 1), (0.3, -1)):
+        form = interval_form(ag.bayes_optimal(ag.DistributionSpec(prior, 1, same, same)))
+        assert form.breaks == () and form.signs == (sign,)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +156,11 @@ def test_attackable_region_mlp_membership(spec_2d):
     got = pos.contains_many(xs)
     preds = h.predicts(xs)
     assert not got[preds != 1].any()
+    # in 1-D the ball search finds the exact distance of the affine net g = 2x - 0.6
+    affine = ag.Mlp(nets.MlpModel([np.array([[2.0]])], [np.array([-0.6])]))
+    x = np.array([-1.0, -0.2, 0.1, 0.29, 0.3, 0.8])
+    np.testing.assert_allclose(distance_to_sign(affine, x.reshape(-1, 1), 1),
+                               np.maximum(0.3 - x, 0.0), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

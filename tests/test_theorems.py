@@ -7,7 +7,7 @@ from scipy.stats import norm
 from scipy.integrate import quad
 
 import advgame as ag
-from advgame.errors import ConfigError, TheoremRangeError, UnsupportedKind
+from advgame.errors import ConfigError, InvalidInput, TheoremRangeError, UnsupportedKind
 from advgame.game import GameConfig
 from advgame.theorems import (
     admissible_alpha_interval,
@@ -110,24 +110,26 @@ def test_gap_mass_verified_by_oracle(spec_1d):
 
 
 def test_gap_norm_closed_form_matches_independent_quadrature(spec_1d):
-    # the proof's region integrals evaluated with scipy quadrature
-    lam, eps, delta, alpha = 0.4, 0.5, 0.25, 0.95
-    cfg = GameConfig("norm", lam, eps)
-    rep = randomization_gap(ag.Threshold(0.0), spec_1d, cfg, alpha_thm=alpha,
-                            delta=delta, run_oracle=False)
-    tau = eps - delta
+    # the proof's region integrals evaluated with scipy quadrature; the last two
+    # settings have c/lam < eps, where the band integrand turns affine
     mu_neg = norm(-1.0, 1.0)
-    g1 = quad(lambda x: 0.5 * (1 - max(alpha, 1 - lam * (tau - x))) * mu_neg.pdf(x),
-              0.0, tau, epsabs=1e-13)[0]
+    for lam, eps, delta, alpha in ((0.4, 0.5, 0.25, 0.95), (0.8, 1.0, 0.7, 0.58),
+                                   (0.9, 1.0, 0.9, 0.6)):
+        cfg = GameConfig("norm", lam, eps)
+        rep = randomization_gap(ag.Threshold(0.0), spec_1d, cfg, alpha_thm=alpha,
+                                delta=delta, run_oracle=False)
+        tau = eps - delta
+        g1 = quad(lambda x: 0.5 * (1 - max(alpha, 1 - lam * (tau - x))) * mu_neg.pdf(x),
+                  0.0, tau, epsabs=1e-13)[0]
 
-    def band(x):
-        opts = [0.0, alpha - lam * (0.0 - x)]
-        if tau - x <= eps:
-            opts.append(1 - lam * (tau - x))
-        return (1 - lam * (0.0 - x)) - max(opts)
+        def band(x):
+            opts = [0.0, alpha - lam * (0.0 - x)]
+            if tau - x <= eps:
+                opts.append(1 - lam * (tau - x))
+            return (1 - lam * (0.0 - x)) - max(opts)
 
-    g2 = quad(lambda x: 0.5 * band(x) * mu_neg.pdf(x), -eps, 0.0, epsabs=1e-13)[0]
-    assert rep.gap == pytest.approx(g1 + g2, abs=1e-9)
+        g2 = quad(lambda x: 0.5 * band(x) * mu_neg.pdf(x), -eps, 0.0, epsabs=1e-13)[0]
+        assert rep.gap == pytest.approx(g1 + g2, abs=1e-9)
 
 
 def test_gap_norm_verified_by_oracle(spec_1d):
@@ -137,6 +139,20 @@ def test_gap_norm_verified_by_oracle(spec_1d):
     assert rep.passed
     assert rep.gap > 1e-6 and rep.gap_oracle > 1e-6
     assert rep.gap_oracle == pytest.approx(rep.gap, abs=5e-5)
+
+
+def test_no_nash_needs_at_least_one_round(spec_1d, cfg_mass):
+    # zero rounds would pass with nothing checked
+    for rounds in (0, -1):
+        with pytest.raises(ConfigError, match="rounds must be >= 1"):
+            verify_no_pure_nash(spec_1d, cfg_mass, rounds=rounds)
+
+
+def test_oracle_needs_at_least_one_point_per_piece(spec_1d, cfg_mass):
+    # 0 divides by zero; a negative count gives a false score
+    for per_piece in (0, -4):
+        with pytest.raises(InvalidInput, match="per_piece must be >= 1"):
+            worst_case_score_oracle(ag.Threshold(0.0), spec_1d, cfg_mass, 65, per_piece)
 
 
 def test_gap_rejects_multi_boundary_base(spec_1d):
