@@ -49,7 +49,7 @@ _PGD_FIELDS = {"epsilon_inf": float, "step": float, "iters": int, "restarts": in
 _CW_FIELDS = {"lr": float, "binary_search_steps": int, "initial_const": float, "iters": int,
               "abort_early": _exactly(bool)}
 _ATTACK_KEYS = {"pgd", "cw", "box", "reject_thresholds", "eval_pgd"}
-_BAT_KEYS = {"n", "alpha_bat", "first_candidates", "first_best_aua"}
+_BAT_KEYS = {"n", "alpha_bat", "first_candidates"}
 _TOP_KEYS = {"distribution", "game", "hypothesis", "rounds", "improvement_threshold",
              "alpha_thm", "delta", "oracle", "resolution", "data", "train",
              "attack", "bat", "models", "candidates", "out_dir", "seed"}
@@ -345,9 +345,6 @@ def _run_bat(cfg, out_dir, preset):
         box=box,
         first_candidates=_converted("bat.first_candidates",
                                     bat_raw.get("first_candidates", 1), int),
-        first_best_aua=_converted("bat.first_best_aua",
-                                  bat_raw.get("first_best_aua", True), _exactly(bool)),
-        eval_set=test,
     )
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mixture.json")

@@ -1,21 +1,21 @@
 """Desk-scale experiment harnesses tying training, attacks, and evaluation together.
 
 The boosted-mixture benchmark mirrors the full evaluation protocol: per seed it
-trains a plain adversarially trained baseline, builds the boosted mixture on
-top of candidate first classifiers (selected by accuracy under attack, the
-default), grid-searches the mixture weight on a validation split, and compares
-exact expected accuracies under the adaptive attack on held-out test data.
+trains candidate first classifiers (candidate 0 is the plain adversarially
+trained baseline), keeps the best one by accuracy under attack on a validation
+split, adds one boosted classifier with training's BAT loop, grid-searches the
+mixture weight on the same validation split, and compares exact expected
+accuracies under the adaptive attack on held-out test data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attacks import PgdConfig, accuracy, accuracy_under_pgd, pgd_linf_batch
-from .distributions import DistributionSpec, EmpiricalMeasure, sample_labeled
-from .errors import InvalidInput
+from .attacks import PgdConfig, accuracy, accuracy_under_pgd
+from .distributions import DistributionSpec, sample_labeled
 from .hypotheses import MixedClassifier, Mlp, as_mixture
-from .training import TrainConfig, _first_classifier, grid_search_alpha, train_natural
+from .training import TrainConfig, _boosted, _first_classifier, grid_search_alpha
 
 # PGD of the desk-scale benchmark (unit box, eps_inf 0.08): up to 20 steps to
 # train, up to 100 steps with two restarts to select and evaluate (a restart
@@ -67,13 +67,12 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
               alpha_candidates=(0.0, 0.05, 0.1, 0.2, 0.3)) -> BatBenchmarkRow:
     """One seed of the benchmark comparison at desk scale.
 
-    The baseline is the first adversarially trained candidate; the mixture may
-    select a better first classifier by accuracy under attack (the bestAUA
-    option) and picks its weight by grid search, both on a validation split.
-    Every attack runs in the unit box.
+    The baseline is candidate 0 of training._first_classifier. The mixture
+    keeps the best candidate by accuracy under attack as h1, adds h2 from one
+    boosting round with the sub-seed train_cfg.seed + 17, and grid-searches
+    h2's weight; both choices read the validation split. Every attack runs in
+    the unit box.
     """
-    if first_candidates < 1:
-        raise InvalidInput(f"first_candidates must be >= 1, got {first_candidates}")
     epochs = 25
     stages = ((0, 0.1), (15, 0.02), (21, 0.004))
     train_cfg = train_cfg or TrainConfig(
@@ -83,16 +82,12 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
     val = sample_labeled(spec, n_test, seed=5000 + seed)
     test = sample_labeled(spec, n_test, seed=9000 + seed)
 
-    candidates, best = _first_classifier(
-        data, train_cfg, ATTACK_TRAIN,
-        [train_cfg.seed + 101 * k for k in range(first_candidates)], val, ATTACK_EVAL)
+    candidates, best = _first_classifier(data, train_cfg, ATTACK_TRAIN, first_candidates,
+                                         val, ATTACK_EVAL)
     baseline = Mlp(candidates[0])  # the plain adversarially trained model
-    h1 = Mlp(candidates[best])
-
-    adv, _ = pgd_linf_batch(h1, data.points, data.labels, ATTACK_TRAIN)
-    d_tilde = EmpiricalMeasure(adv, data.labels, data.seed)
-    cfg2 = TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + 17})
-    h2 = Mlp(train_natural(d_tilde, cfg2)[0])
+    # the boosting round's weight is unused: the grid search sets it
+    h1, h2 = _boosted(data, Mlp(candidates[best]), [train_cfg.seed + 17], 0.0, train_cfg,
+                      ATTACK_TRAIN, (0.0, 1.0)).hypotheses
 
     alpha, _ = grid_search_alpha(h1, h2, val, alpha_candidates, ATTACK_EVAL)
     if alpha == 0.0:
@@ -107,8 +102,7 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
         mixture_clean=accuracy(mixture, test.points, test.labels),
         mixture_aua=accuracy_under_pgd(mixture, test.points, test.labels, ATTACK_EVAL),
         alpha=float(alpha),
-        weights=tuple(mixture.weights) if isinstance(mixture, MixedClassifier)
-        else (1.0,),
+        weights=tuple(mixture.weights),
     )
 
 

@@ -480,7 +480,8 @@ def _mc_evaluate(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig):
     """Seeded sample, its attacked points and each point's penalty."""
     sample = sample_labeled(spec, cfg.mc_n, cfg.mc_seed)
     moved = pushforward_empirical(sample, attack).points
-    pens = _penalty_of_norms(perturbation_norms(sample.points, moved, "l2"), cfg.penalty)
+    pens = _penalty_of_norms(perturbation_norms(sample.points, moved, cfg.norm_kind),
+                             cfg.penalty)
     return sample, moved, pens
 
 
@@ -816,7 +817,8 @@ def pointwise_attack_oracle(model, x, y: int, cfg: GameConfig,
                             grid_n: int | None = None) -> np.ndarray:
     """Brute-force per-point best response over a grid of the budget ball.
 
-    Ties are broken toward the smallest perturbation norm, then toward the
+    The norm penalty and the tie rule measure a move in cfg.norm_kind. Ties
+    are broken toward the smallest perturbation norm, then toward the
     lexicographically smallest point. d <= 2 only.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -828,7 +830,7 @@ def pointwise_attack_oracle(model, x, y: int, cfg: GameConfig,
         return oracle_attack_points_1d(mix, x, y, cfg, grid_n or 4097)[0]
     offsets = ball_offsets(cfg.epsilon, grid_n or 129, d, cfg.norm_kind)
     Z = x[None, :] + offsets
-    norms = np.linalg.norm(offsets, axis=1)
+    norms = perturbation_norms(np.zeros(d), offsets, cfg.norm_kind)
     vals = mix.expected_errors(Z, y) - cfg.lam * _penalty_of_norms(norms, cfg.penalty)
     best = vals.max()
     cand = np.flatnonzero(vals >= best)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,22 +178,24 @@ def train_adversarial(data: EmpiricalMeasure, cfg: TrainConfig,
 
 
 def _first_classifier(data: EmpiricalMeasure, cfg: TrainConfig, attack_cfg: PgdConfig,
-                      seeds, ref: EmpiricalMeasure, select_attack: PgdConfig | None,
+                      count: int, ref: EmpiricalMeasure, select_attack: PgdConfig,
                       box=(0.0, 1.0)):
-    """Adversarially train one candidate first classifier per seed, in lockstep.
+    """Adversarially train count candidate first classifiers, in lockstep.
 
-    Returns (the candidates as lone nets, index of the kept one). With one
-    candidate that is 0; otherwise the candidate with the best accuracy on
-    ref, under select_attack (one PGD run on the stack) or natural accuracy
-    when select_attack is None, the first one on a tie.
+    Candidate k trains from the sub-seed cfg.seed + 101 * k, so candidate 0 is
+    the net that train_adversarial gives for cfg. Returns (the candidates as
+    lone nets, index of the kept one). With one candidate that is 0;
+    otherwise the candidate with the best accuracy on ref under select_attack
+    (one PGD run on the stack), the first one on a tie.
     """
-    model, _ = _sgd_epochs(data, cfg, seeds, attack_cfg, box)
+    if count < 1:
+        raise InvalidInput(f"first_candidates must be >= 1, got {count}")
+    model, _ = _sgd_epochs(data, cfg, [cfg.seed + 101 * k for k in range(count)],
+                           attack_cfg, box)
     candidates = nets.unstack(model)
-    if len(candidates) == 1:
+    if count == 1:
         return candidates, 0
-    points = [ref.points] * len(candidates)
-    if select_attack is not None:
-        points, _ = pgd_linf_batch(Mlp(model), ref.points, ref.labels, select_attack, box)
+    points, _ = pgd_linf_batch(Mlp(model), ref.points, ref.labels, select_attack, box)
     scores = [accuracy(Mlp(m), X, ref.labels) for m, X in zip(candidates, points)]
     return candidates, int(np.argmax(scores))
 
@@ -202,44 +204,41 @@ def _first_classifier(data: EmpiricalMeasure, cfg: TrainConfig, attack_cfg: PgdC
 # Boosted adversarial training
 # ---------------------------------------------------------------------------
 
+def _boosted(data: EmpiricalMeasure, first, seeds, alpha_bat: float, cfg: TrainConfig,
+             attack_cfg: PgdConfig, box):
+    """The boosting loop: per seed, PGD against the running mixture (exact
+    expected logits), a fresh net trained naturally on the attacked data from
+    that seed, and the reweighting q_k <- (1 - a) q_k, q_new <- a. Returns the
+    mixture of first and the new nets, weights normalised to sum to 1."""
+    hyps, weights = [first], (1.0,)
+    for seed in seeds:
+        mixture = MixedClassifier(tuple(hyps), weights)
+        adv_points, _ = pgd_linf_batch(mixture, data.points, data.labels, attack_cfg, box)
+        d_tilde = EmpiricalMeasure(adv_points, data.labels, data.seed)
+        hyps.append(Mlp(train_natural(d_tilde, replace(cfg, seed=seed), box=box)[0]))
+        weights = tuple(w * (1.0 - alpha_bat) for w in weights) + (alpha_bat,)
+    total = sum(weights)
+    return MixedClassifier(tuple(hyps), tuple(w / total for w in weights))
+
+
 def bat(data: EmpiricalMeasure, n: int, alpha_bat: float, cfg: TrainConfig,
-        attack_cfg: PgdConfig, *, box=(0.0, 1.0),
-        first_candidates: int = 1, first_best_aua: bool = True,
-        eval_set: EmpiricalMeasure | None = None):
+        attack_cfg: PgdConfig, *, box=(0.0, 1.0), first_candidates: int = 1):
     """Boosted adversarial training.
 
-    Adversarially train h1; then for i = 2..n build the adversarial dataset
-    against the running mixture (adaptive PGD through the exact expected
-    logits), train h_i naturally on it, and reweight: q_k <- (1 - a) q_k for
-    the earlier classifiers, q_i <- a. n = 2 reduces to the two-classifier
-    procedure with weights (1 - alpha, alpha).
-
-    first_candidates > 1 trains several first classifiers from sub-seeds, in
-    lockstep, and keeps the best one by accuracy under attack (default) or
-    natural accuracy.
+    Adversarially train h1 (with first_candidates > 1, the best candidate of
+    _first_classifier by accuracy on the training data under attack_cfg);
+    then for i = 2..n one round of _boosted trains h_i from the sub-seed
+    cfg.seed + 17 * i. n = 2 reduces to the two-classifier procedure with
+    weights (1 - alpha, alpha).
     """
     if n < 2:
         raise InvalidInput("the boosted mixture needs n >= 2 classifiers")
     if not 0.0 <= alpha_bat <= 1.0:
         raise InvalidInput("alpha_bat must lie in [0, 1]")
-    if first_candidates < 1:
-        raise InvalidInput(f"first_candidates must be >= 1, got {first_candidates}")
-
-    candidates, best = _first_classifier(
-        data, cfg, attack_cfg, [cfg.seed + 1000 * k for k in range(first_candidates)],
-        eval_set or data, attack_cfg if first_best_aua else None, box)
-    hyps = [Mlp(candidates[best])]
-    weights = (1.0,)
-    for i in range(2, n + 1):
-        mixture = MixedClassifier(tuple(hyps), weights)
-        adv_points, _ = pgd_linf_batch(mixture, data.points, data.labels, attack_cfg, box)
-        d_tilde = EmpiricalMeasure(adv_points, data.labels, data.seed)
-        sub = TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + 17 * i})
-        hyps.append(Mlp(train_natural(d_tilde, sub, box=box)[0]))
-        weights = tuple(w * (1.0 - alpha_bat) for w in weights) + (alpha_bat,)
-    total = sum(weights)
-    weights = tuple(w / total for w in weights)
-    return MixedClassifier(tuple(hyps), weights)
+    candidates, best = _first_classifier(data, cfg, attack_cfg, first_candidates, data,
+                                         attack_cfg, box)
+    return _boosted(data, Mlp(candidates[best]), [cfg.seed + 17 * i for i in range(2, n + 1)],
+                    alpha_bat, cfg, attack_cfg, box)
 
 
 def grid_search_alpha(h1, h2, validation: EmpiricalMeasure, candidates,

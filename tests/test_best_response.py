@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -173,7 +175,7 @@ def test_oracle_2d_ball_and_dimension_guard(cfg_mass):
     z = pointwise_attack_oracle(h, np.array([0.55, 0.5]), 1, cfg_mass, grid_n=41)
     assert h.predict(z) != 1  # crossed
     # g = x + y - 1 lies 0.112 away in l2 and 0.079 in linf: only the square reaches it,
-    # and with no penalty its least-l2 wrong grid point is the diagonal one
+    # and with no penalty its least-linf wrong grid point is the diagonal one
     diag = ag.Linear((1.0, 1.0), -1.0)
     x = np.array([0.421, 0.421])
     for norm_kind, move in (("l2", 0.0), ("linf", 0.08)):
@@ -184,6 +186,20 @@ def test_oracle_2d_ball_and_dimension_guard(cfg_mass):
 
     with pytest.raises(UnsupportedDimension):
         pointwise_attack_oracle(h, np.array([0.5, 0.5, 0.5]), 1, cfg_mass)
+
+
+def test_oracle_2d_norm_penalty_is_charged_in_the_attack_norm():
+    # g = x + y/2 - 1 is 0.25/1.5 away from (0.5, 0.5) in linf (along (1, 1)) and
+    # 0.25/sqrt(1.25) in l2 (along w): the norm penalty picks the shortest move to
+    # an error in the attack's own norm
+    h = ag.Linear((1.0, 0.5), -1.0)
+    x = np.array([0.5, 0.5])
+    for norm_kind, shortest in (("l2", 0.25 / math.sqrt(1.25)), ("linf", 0.25 / 1.5)):
+        cfg = GameConfig("norm", 0.5, 0.25, norm_kind)
+        z = pointwise_attack_oracle(h, x, -1, cfg, grid_n=129)
+        move = np.abs(z - x).max() if norm_kind == "linf" else np.linalg.norm(z - x)
+        assert h.predict(z) != -1  # on the boundary or past it: an error either way
+        assert shortest <= move < shortest + 2 * 0.5 / 128
 
 
 def _dense_oracle(forms, weights, xs, y, cfg, grid_n):

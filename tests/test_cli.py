@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advgame import cli, hypotheses
+from advgame import cli, hypotheses, training
 
 
 def write_config(tmp_path, extra=None, name="cfg.json"):
@@ -242,6 +242,30 @@ def test_zero_first_candidates_exits_2(tmp_path, capsys):
     assert "first_candidates" in capsys.readouterr().err
 
 
+def test_first_best_aua_is_an_unknown_field(tmp_path, capsys):
+    # the first classifier is always kept by accuracy under attack
+    cfg = _training_config(tmp_path, bat={"n": 2, "first_best_aua": False})
+    assert cli.main(["bat", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown fields in bat" in capsys.readouterr().err
+
+
+def test_bat_selects_its_first_classifier_on_the_training_split(tmp_path, monkeypatch):
+    # the report's test_acc is measured on the test split, so selection must not read it
+    seen = []
+    select = training._first_classifier
+
+    def spy(data, cfg, attack_cfg, count, ref, select_attack, box):
+        seen.append((len(data), len(ref), np.array_equal(ref.points, data.points)))
+        return select(data, cfg, attack_cfg, count, ref, select_attack, box)
+
+    monkeypatch.setattr(training, "_first_classifier", spy)
+    cfg = _training_config(tmp_path, bat={"n": 2, "first_candidates": 2})
+    out = str(tmp_path / "bat")
+    assert cli.main(["bat", "--config", cfg, "--out", out]) == 0
+    assert seen == [(200, 200, True)]
+    assert "test_acc" in read_report(out, "bat_report.json")["results"]
+
+
 @pytest.mark.parametrize("box", [[0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0, 2.0], ["a", 1]])
 def test_malformed_box_exits_2(tmp_path, capsys, box):
     cfg = _set_in(_training_config(tmp_path), "attack", "box", box)
@@ -299,7 +323,6 @@ def test_shipped_game_config_runs_every_game_subcommand(tmp_path):
     ("risk", ("out_dir",), 5),
     # flags take only JSON true or false: bool("false") would be True
     ("rand-gap", ("oracle", "enabled"), "false"),
-    ("bat", ("bat", "first_best_aua"), "false"),
     ("train", ("attack", "pgd", "random_init"), "false"),
     ("evaluate", ("attack", "cw", "abort_early"), 0),
 ])

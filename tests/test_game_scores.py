@@ -112,6 +112,27 @@ def test_penalty_norm_matches_quadrature_oracle(spec_1d, cfg_norm):
     assert got == pytest.approx(0.5 * pos + 0.5 * neg, abs=1e-6)
 
 
+@pytest.mark.parametrize("norm_kind", ["l2", "linf"])
+def test_mc_norm_penalty_is_measured_in_the_attack_norm(norm_kind):
+    # a linf step along sign(w) = (1, 1) is sqrt(2) times longer in l2
+    spec = ag.DistributionSpec(
+        0.5, 2,
+        (ag.GaussianComponent(1.0, (0.6, 0.6), (0.02, 0.02)),),
+        (ag.GaussianComponent(1.0, (0.4, 0.4), (0.02, 0.02)),),
+    )
+    h = ag.Linear((1.0, 1.0), -1.0)
+    cfg = GameConfig("norm", 0.3, 0.1, norm_kind, "monte_carlo", 2000, 0)
+    attack = best_response_attack(h, spec, cfg)
+    sample = ag.sample_labeled(spec, cfg.mc_n, cfg.mc_seed)
+    step = ag.pushforward_empirical(sample, attack).points - sample.points
+    moves = {"l2": np.linalg.norm(step, axis=1), "linf": np.abs(step).max(axis=1)}
+    assert moves[norm_kind].mean() > 0
+    assert penalty_value(attack, spec, cfg) == moves[norm_kind].mean()
+    assert adversarial_score(h, attack, spec, cfg).penalty_value == moves[norm_kind].mean()
+    if norm_kind == "linf":
+        assert moves["l2"].mean() / moves["linf"].mean() == pytest.approx(math.sqrt(2))
+
+
 # ---------------------------------------------------------------------------
 # adversarial score
 # ---------------------------------------------------------------------------

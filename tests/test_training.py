@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advgame as ag
-from advgame import attacks, nets, training
+from advgame import attacks, experiments, nets, training
 from advgame.errors import ConfigError, InvalidInput
 from advgame.hypotheses import MixedClassifier, Mlp
 from advgame.training import TrainConfig
@@ -267,20 +268,22 @@ def test_lone_training_matches_the_reference_loop(blobs_2d):
         assert [(r.train_loss, r.train_acc) for r in trace] == ref_trace
 
 
+# select None: keep the best candidate under the training attack, as bat does
 @pytest.mark.parametrize("select", [None, ag.PgdConfig(0.1, 0.02, 4, restarts=2)])
 @pytest.mark.parametrize("k", [2, 3])
 def test_lockstep_candidates_match_lone_training(blobs_2d, k, select):
     data, cfg, pgd = _short_run(blobs_2d)
-    seeds = [3 + 1000 * j for j in range(k)]
-    candidates, best = training._first_classifier(data, cfg, pgd, seeds, blobs_2d, select)
-    alone = [training.train_adversarial(data, TrainConfig(**{**cfg.__dict__, "seed": s}), pgd)[0]
-             for s in seeds]
+    select = select or pgd
+    candidates, best = training._first_classifier(data, cfg, pgd, k, blobs_2d, select)
+    alone = [training.train_adversarial(data, replace(cfg, seed=cfg.seed + 101 * j), pgd)[0]
+             for j in range(k)]
     assert len(candidates) == k
     assert all(_same_net(c, a) for c, a in zip(candidates, alone))
-    scores = [attacks.accuracy(Mlp(a), blobs_2d.points, blobs_2d.labels) if select is None
-              else attacks.accuracy_under_pgd(Mlp(a), blobs_2d.points, blobs_2d.labels, select)
+    scores = [attacks.accuracy_under_pgd(Mlp(a), blobs_2d.points, blobs_2d.labels, select)
               for a in alone]
     assert best == int(np.argmax(scores))
+    with pytest.raises(InvalidInput, match="first_candidates"):
+        training._first_classifier(data, cfg, pgd, 0, blobs_2d, select)
 
 
 def test_adversarial_training_beats_natural_under_attack():
@@ -337,7 +340,7 @@ def stand_ins(mp, attack=lambda mixture, points, labels: points,
               trainer=lambda d, cfg: nets.init_mlp((2, 4, 2), seed=1)):
     """Swap bat's trainers and attack for stand-ins: no SGD and no PGD run."""
     mp.setattr(training, "_first_classifier",
-               lambda data, cfg, attack_cfg, seeds, ref, select_attack, box:
+               lambda data, cfg, attack_cfg, count, ref, select_attack, box:
                ([nets.init_mlp((2, 4, 2), seed=0)], 0))
     mp.setattr(training, "pgd_linf_batch",
                lambda mixture, X, Y, attack_cfg, box: (attack(mixture, X, Y), None))
@@ -420,6 +423,74 @@ def test_bat_requires_two_classifiers(blobs_2d):
     with pytest.raises(InvalidInput):
         training.bat(blobs_2d, n=1, alpha_bat=0.2, cfg=quick_cfg(),
                      attack_cfg=ag.PgdConfig(0.05, 0.02, 2))
+
+
+def _pre_merge_bat(data, n, alpha, cfg, attack_cfg, box=(0.0, 1.0)):
+    """Reference: training.bat with one first candidate as its own loop wrote it
+    before the boosting loop was shared. Returns (components, weights)."""
+    hyps = [Mlp(training.train_adversarial(data, cfg, attack_cfg, box=box)[0])]
+    weights = (1.0,)
+    for i in range(2, n + 1):
+        mixture = MixedClassifier(tuple(hyps), weights)
+        adv, _ = attacks.pgd_linf_batch(mixture, data.points, data.labels, attack_cfg, box)
+        d_tilde = ag.EmpiricalMeasure(adv, data.labels, data.seed)
+        sub = TrainConfig(**{**cfg.__dict__, "seed": cfg.seed + 17 * i})
+        hyps.append(Mlp(training.train_natural(d_tilde, sub, box=box)[0]))
+        weights = tuple(w * (1.0 - alpha) for w in weights) + (alpha,)
+    total = sum(weights)
+    return hyps, tuple(w / total for w in weights)
+
+
+def _pre_merge_bat_vs_at(spec, seed, n_train, n_test, train_cfg, first_candidates,
+                         alpha_candidates):
+    """Reference: experiments.bat_vs_at as its own loop wrote it before the boosting
+    loop was shared, with every candidate trained and attacked alone."""
+    data = ag.sample_labeled(spec, n_train, seed=1000 + seed)
+    val = ag.sample_labeled(spec, n_test, seed=5000 + seed)
+    test = ag.sample_labeled(spec, n_test, seed=9000 + seed)
+    alone = [training.train_adversarial(
+        data, TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + 101 * k}),
+        experiments.ATTACK_TRAIN)[0] for k in range(first_candidates)]
+    scores = [attacks.accuracy_under_pgd(Mlp(m), val.points, val.labels, experiments.ATTACK_EVAL)
+              for m in alone]
+    baseline, h1 = Mlp(alone[0]), Mlp(alone[int(np.argmax(scores))])
+    adv, _ = attacks.pgd_linf_batch(h1, data.points, data.labels, experiments.ATTACK_TRAIN)
+    d_tilde = ag.EmpiricalMeasure(adv, data.labels, data.seed)
+    cfg2 = TrainConfig(**{**train_cfg.__dict__, "seed": train_cfg.seed + 17})
+    h2 = Mlp(training.train_natural(d_tilde, cfg2)[0])
+    alpha, _ = training.grid_search_alpha(h1, h2, val, alpha_candidates, experiments.ATTACK_EVAL)
+    mixture = (MixedClassifier((h1,), (1.0,)) if alpha == 0.0
+               else MixedClassifier((h1, h2), (1.0 - alpha, alpha)))
+    evaluate = experiments.ATTACK_EVAL
+    return experiments.BatBenchmarkRow(
+        seed=seed,
+        at_clean=attacks.accuracy(baseline, test.points, test.labels),
+        at_aua=attacks.accuracy_under_pgd(baseline, test.points, test.labels, evaluate),
+        mixture_clean=attacks.accuracy(mixture, test.points, test.labels),
+        mixture_aua=attacks.accuracy_under_pgd(mixture, test.points, test.labels, evaluate),
+        alpha=float(alpha),
+        weights=tuple(mixture.weights),
+    )
+
+
+def test_bat_matches_the_pre_merge_loop(blobs_2d):
+    data, cfg, pgd = _short_run(blobs_2d)
+    mix = training.bat(data, n=3, alpha_bat=0.3, cfg=cfg, attack_cfg=pgd, first_candidates=1)
+    hyps, weights = _pre_merge_bat(data, 3, 0.3, cfg, pgd)
+    assert len(mix) == 3
+    assert all(_same_net(got.net, want.net) for got, want in zip(mix.hypotheses, hyps))
+    assert mix.weights == weights
+
+
+@pytest.mark.parametrize("alpha_candidates", [(0.3,), (0.0, 0.1, 0.3)])
+def test_bat_vs_at_matches_the_pre_merge_loop(alpha_candidates):
+    # (0.3,) forces h2 into the mixture, so the row reads h2's bits too
+    spec = experiments.satellite_task()
+    cfg = TrainConfig(epochs=3, batch_size=64, lr_stages=((0, 0.1), (2, 0.02)), seed=0,
+                      sizes=(2, 8, 8, 2))
+    kwargs = dict(n_train=200, n_test=100, train_cfg=cfg, alpha_candidates=alpha_candidates)
+    got = experiments.bat_vs_at(spec, 0, first_candidates=2, **kwargs)
+    assert got == _pre_merge_bat_vs_at(spec, 0, 200, 100, cfg, 2, alpha_candidates)
 
 
 # ---------------------------------------------------------------------------
