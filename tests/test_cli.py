@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advgame import cli, hypotheses, training
+from advgame import attacks, cli, hypotheses, nets, training
 
 
 def write_config(tmp_path, extra=None, name="cfg.json"):
@@ -325,6 +326,10 @@ def test_shipped_game_config_runs_every_game_subcommand(tmp_path):
     ("rand-gap", ("oracle", "enabled"), "false"),
     ("train", ("attack", "pgd", "random_init"), "false"),
     ("evaluate", ("attack", "cw", "abort_early"), 0),
+    # a field is checked whenever it is present, even where the subcommand does not use it
+    ("risk", ("bat", "n"), "x"),
+    ("risk", ("attack", "reject_thresholds"), ["x"]),
+    ("train", ("models",), 5),
 ])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, sub, keys, value):
     path = _config_with(tmp_path, sub, keys, value)
@@ -374,6 +379,14 @@ def _config_with(tmp_path, sub, keys, value):
     ("rand-gap", ("oracle", "per_piece"), 0),
     ("rand-gap", ("oracle", "per_piece"), -4),
     ("fig1", ("resolution",), 0),
+    ("train", ("attack", "pgd", "preset"), ["x"]),
+    ("evaluate", ("attack", "cw", "preset"), {}),
+    ("train", ("attack", "pgd", "preset"), "cw_paper"),
+    # null is accepted only for delta, attack.box and data.csv
+    ("train", ("attack", "pgd"), None),
+    ("evaluate", ("attack", "cw"), None),
+    ("risk", ("game", "eval"), None),
+    ("bat", ("bat",), None),
 ])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, sub, keys, value):
     path = _config_with(tmp_path, sub, keys, value)
@@ -420,3 +433,129 @@ def test_preset_override_and_csv_split_of_the_wrong_type_exit_2(tmp_path, capsys
     cfg = _set_in(cfg, "data", "n_test", "one")
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "data.n_test has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, field, text", [
+    ("train", "data.csv", "x0,x1,label\n0.2,a,-1\n"),
+    ("train", "data.csv", "x0,x1,label\n0.2,0.3,-1\n0.7,1\n"),
+    ("bat", "data.csv", ""),
+    ("evaluate", "data.csv", "x0,x1,label\n0.2,0.3,-1\n\n0.7,0.6,1\n"),
+    ("evaluate", "models[].path", "[1, 2]"),
+    ("evaluate", "models[].path", '{"kind": "threshold", "t": "zero"}'),
+    ("evaluate", "models[].path", '{"weights": [1.0], "hypotheses": [5]}'),
+    ("alpha-grid", "models[].path",
+     '{"kind": "mlp", "model": {"sizes": "ab", "weights": [], "biases": []}}'),
+])
+def test_malformed_input_file_exits_2_naming_the_field(tmp_path, capsys, sub, field, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    if field == "data.csv":
+        cfg = _config_with(tmp_path, sub, ("data", "csv"), str(path))
+    else:
+        entry = {"name": "m", "path": str(path)}
+        cfg = _config_with(tmp_path, sub, ("models",), [entry, entry])
+    assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} has the wrong type")
+
+
+@pytest.mark.parametrize("sub, n_test", [("train", -25), ("evaluate", 31)])
+def test_csv_split_outside_the_rows_exits_2(tmp_path, capsys, sub, n_test):
+    # on 30 rows, -25 trained on the first 25 and tested on the last 5, and
+    # 31 tested on all 30
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x0,x1,label\n" + "".join(
+        f"{0.1 + i / 50},0.5,{1 if i % 2 else -1}\n" for i in range(30)))
+    path = _config_with(tmp_path, sub, ("data",), {"csv": str(csv_path), "n_test": n_test})
+    assert cli.main([sub, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: data.n_test must be in [0, 30], the csv's row count, got {n_test}" \
+        in capsys.readouterr().err
+
+
+def test_missing_required_field_is_named(tmp_path, capsys):
+    raw = json.loads(Path(write_config(tmp_path)).read_text())
+    del raw["game"]["lambda"]
+    path = tmp_path / "nolambda.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["risk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: game.lambda is missing" in capsys.readouterr().err
+    model = tmp_path / "model.json"
+    model.write_text('{"kind": "threshold"}')
+    entry = {"name": "m", "path": str(model)}
+    path = _config_with(tmp_path, "evaluate", ("models",), [entry, entry])
+    assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: models[].path needs the key 't'" in capsys.readouterr().err
+
+
+def test_null_is_accepted_for_delta_box_and_csv(tmp_path):
+    path = _config_with(tmp_path, "rand-gap", ("delta",), None)
+    assert cli.main(["rand-gap", "--config", path, "--out", str(tmp_path / "gap")]) == 0
+    path = _config_with(tmp_path, "train", ("attack", "box"), None)
+    raw = json.loads(Path(path).read_text())
+    raw["data"]["csv"] = None
+    raw["train"]["epochs"] = 1
+    Path(path).write_text(json.dumps(raw))
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "train")]) == 0
+
+
+def test_shipped_bat_config_reaches_training_and_attacks(tmp_path, monkeypatch):
+    # training and the attacks are stubbed: this checks what the CLI parses, not the runs
+    net = hypotheses.Mlp(nets.init_mlp((2, 32, 32, 2), 0))
+    seen = {}
+
+    def train_adversarial(data, cfg, attack_cfg, *, eval_set, eval_attack, box):
+        seen["train"] = (len(data), len(eval_set), cfg, attack_cfg, eval_attack, box)
+        return net.net, []
+
+    def bat(data, n, alpha_bat, cfg, attack_cfg, *, box, first_candidates):
+        seen["bat"] = (len(data), n, alpha_bat, cfg, attack_cfg, box, first_candidates)
+        return hypotheses.MixedClassifier((net, net), (0.8, 0.2))
+
+    def accuracy_under_pgd(model, X, Y, cfg, box):
+        seen.setdefault("pgd", []).append((len(X), cfg, box))
+        return 0.5
+
+    def accuracy_under_cw(model, X, Y, cfg, box, thresholds):
+        seen.setdefault("cw", []).append((len(X), cfg, box, thresholds))
+        return {eps2: 0.5 for eps2 in thresholds}
+
+    def grid_search_alpha(h1, h2, validation, candidates, attack_cfg, *, box):
+        seen["grid"] = (len(validation), candidates, attack_cfg, box)
+        return 0.0, [(0.0, 0.5)]
+
+    monkeypatch.setattr(training, "train_adversarial", train_adversarial)
+    monkeypatch.setattr(training, "bat", bat)
+    monkeypatch.setattr(attacks, "accuracy_under_pgd", accuracy_under_pgd)
+    monkeypatch.setattr(attacks, "accuracy_under_cw", accuracy_under_cw)
+    monkeypatch.setattr(training, "grid_search_alpha", grid_search_alpha)
+
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "bat_2d.json")
+    out = tmp_path / "run"
+    for sub in ("train", "bat"):
+        assert cli.main([sub, "--config", shipped, "--out", str(out / sub)]) == 0, sub
+    raw = json.loads(Path(shipped).read_text())
+    raw["models"] = [{"name": "at", "path": str(out / "train" / "model.json")},
+                     {"name": "bat", "path": str(out / "bat" / "mixture.json")}]
+    cfg = tmp_path / "with_models.json"
+    cfg.write_text(json.dumps(raw))
+    for sub in ("evaluate", "alpha-grid"):
+        assert cli.main([sub, "--config", str(cfg), "--out", str(out / sub)]) == 0, sub
+
+    desk = replace(training.train_desk_preset(), epochs=30, batch_size=64,
+                   sizes=(2, 32, 32, 2), seed=0)
+    box = (0.0, 1.0)
+    assert seen["train"] == (2000, 1000, desk, attacks.PGD_TRAIN_PAPER, None, box)
+    assert seen["bat"] == (2000, 2, 0.2, desk, attacks.PGD_TRAIN_PAPER, box, 1)
+    assert seen["pgd"] == [(1000, attacks.PGD_TRAIN_PAPER, box)] * 2
+    assert seen["cw"] == [(1000, attacks.CW_PAPER, box, [0.4, 0.6, 0.8])] * 2
+    assert seen["grid"] == (1000, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], attacks.PGD_TRAIN_PAPER, box)
+
+
+@pytest.mark.parametrize("field", ["data.csv", "models[].path"])
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, field):
+    if field == "data.csv":
+        path = _config_with(tmp_path, "evaluate", ("data", "csv"), str(tmp_path))
+    else:
+        entry = {"name": "m", "path": str(tmp_path)}
+        path = _config_with(tmp_path, "evaluate", ("models",), [entry, entry])
+    assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [Errno 21] Is a directory" in capsys.readouterr().err
