@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def main() -> int:
         rep = verify_no_pure_nash(spec, cfg, rounds=args.rounds)
         passed.append(rep.passed)
         with open(os.path.join(args.out, f"no_nash_{penalty}.json"), "w") as fh:
-            json.dump(rep.to_dict(), fh, indent=2)
+            json.dump(asdict(rep), fh, indent=2)
         print(f"no-nash [{penalty}]: {'PASS' if rep.passed else 'FAIL'} "
               f"(min improvement {min(r.improvement for r in rep.rounds):.3e})")
 
@@ -50,7 +51,7 @@ def main() -> int:
     gaps = []
     for alpha in np.linspace(lo, hi, 7)[1:-1]:
         rep = randomization_gap(h1, spec, cfg, alpha_thm=float(alpha))
-        gaps.append(rep.to_dict())
+        gaps.append(asdict(rep))
         passed.append(rep.passed)
         print(f"rand-gap [mass] alpha={alpha:.3f}: gap {rep.gap:.5f} "
               f"(oracle {rep.gap_oracle:.5f}) {'PASS' if rep.passed else 'FAIL'}")
@@ -59,7 +60,7 @@ def main() -> int:
         lo, hi = admissible_alpha_interval(cfg_n, delta)
         alpha = float(0.5 * (lo + hi))
         rep = randomization_gap(h1, spec, cfg_n, alpha_thm=alpha, delta=delta)
-        gaps.append(rep.to_dict())
+        gaps.append(asdict(rep))
         passed.append(rep.passed)
         print(f"rand-gap [norm] delta={delta:.3f} alpha={alpha:.3f}: "
               f"gap {rep.gap:.5f} {'PASS' if rep.passed else 'FAIL'}")
@@ -73,7 +74,7 @@ def main() -> int:
           f"inf-sup {duality.inf_sup:.6f} (strict: {duality.strict}) "
           f"{'PASS' if passed[-1] else 'FAIL'}")
     with open(os.path.join(args.out, "duality.json"), "w") as fh:
-        json.dump(duality.to_dict(), fh, indent=2)
+        json.dump(asdict(duality), fh, indent=2)
     return 0 if all(passed) else 1
 
 

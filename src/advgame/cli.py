@@ -90,6 +90,16 @@ def _nullable(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def _at_least_1(field: str):
+    """A converter that takes a count and rejects one below 1."""
+    def check(value):
+        n = int(value)
+        if n < 1:
+            raise ConfigError(f"{field} must be >= 1, got {n}")
+        return n
+    return check
+
+
 def _float_list(value) -> list[float]:
     return [float(v) for v in value]
 
@@ -167,8 +177,8 @@ _ATTACK = {
                  None),
 }
 # data.n_test left out means 0 rows for a csv and 1000 draws from a distribution
-_DATA = {"n_train": (int, 2000), "n_test": (int, None), "seed": (int, 0),
-         "csv": (_nullable(_exactly(str)), None)}
+_DATA = {"n_train": (_at_least_1("data.n_train"), 2000), "n_test": (int, None),
+         "seed": (int, 0), "csv": (_nullable(_exactly(str)), None)}
 _ORACLE = {"inner": (int, 1025), "per_piece": (int, 256), "enabled": (_exactly(bool), True)}
 _BAT = {"n": (int, 2), "alpha_bat": (float, 0.2), "first_candidates": (int, 1)}
 _MODEL = {"name": (_exactly(str), MISSING), "path": (_exactly(str), MISSING)}
@@ -210,9 +220,12 @@ def _load_data(cfg: dict) -> tuple:
         return full, None
     if "distribution" not in cfg:
         raise ConfigError("data needs either a csv path or a distribution")
+    n_test = data.get("n_test", 1000)
+    if n_test < 1:
+        raise ConfigError(f"data.n_test must be >= 1 with a distribution, got {n_test}")
     spec = cfg["distribution"]
     train = distributions.sample_labeled(spec, data["n_train"], data["seed"])
-    test = distributions.sample_labeled(spec, data.get("n_test", 1000), data["seed"] + 1)
+    test = distributions.sample_labeled(spec, n_test, data["seed"] + 1)
     return train, test
 
 
@@ -290,7 +303,7 @@ def _run_no_nash(cfg, out_dir):
     rep = theorems.verify_no_pure_nash(cfg.get("distribution"), cfg["game"],
                                        rounds=cfg["rounds"],
                                        threshold=cfg["improvement_threshold"])
-    return rep.to_dict(), rep.passed
+    return asdict(rep), rep.passed
 
 
 def _run_rand_gap(cfg, out_dir):
@@ -305,7 +318,7 @@ def _run_rand_gap(cfg, out_dir):
         oracle_per_piece=oracle["per_piece"],
         threshold=cfg["improvement_threshold"],
     )
-    return rep.to_dict(), rep.passed
+    return asdict(rep), rep.passed
 
 
 def _run_fig1(cfg, out_dir):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -168,14 +169,12 @@ class ZoneAttack1D(AttackMap):
     def radius(self) -> float:
         return self.budget - OVERSHOOT if self.mode == "mass" else self.budget
 
-    def zone(self, label: int) -> list[iv.Iv]:
-        return self.form.band(label, self.radius)
-
     def pieces(self, label: int) -> list[tuple[float, float, float]]:
-        """(lo, hi, atom location) pieces of the zone, split at target midpoints."""
+        """(lo, hi, atom location) pieces of the attack zone (the radius-band
+        of class label's cells), split at target midpoints."""
         other = self.form.sign_intervals(-label)
         out = []
-        for lo, hi in self.zone(label):
+        for lo, hi in self.form.band(label, self.radius):
             left = [bhi for _, bhi in other if bhi <= lo + 1e-300]
             right = [blo for blo, _ in other if blo >= hi - 1e-300]
             lt = max(left) if left else None
@@ -284,105 +283,113 @@ class PointwiseAttack(AttackMap):
 # Transported measures (1-D exact layer)
 # ---------------------------------------------------------------------------
 
-_FULL_LINE = ((-math.inf, math.inf),)
-
-
 @dataclass(frozen=True)
 class Transported1D:
-    """phi_y # mu_y for both classes: mu_y on alive_y, shifted by shift_y, plus atoms.
+    """phi_y # mu_y for both classes: mu_y off the zone pieces, shifted by
+    shift_y, plus atoms.
 
-    alive_y is in the coordinates of mu_y: the density at x is mu_y(x - shift_y)
-    where x - shift_y lies in alive_y. Zone maps keep the shifts at 0.0 and move
-    their zones' mass to atoms; the penalty-free translation shifts the whole
-    line and has no atoms.
+    Each piece (y, lo, hi, target, mass) is a part of class y's attack zone:
+    the map carries mu_y's mass on (lo, hi) to an atom at target. Zone maps
+    keep the shifts at 0.0; the penalty-free translation shifts the whole line
+    and has no pieces.
     """
 
     spec: DistributionSpec
-    alive_pos: tuple[iv.Iv, ...]
-    alive_neg: tuple[iv.Iv, ...]
-    atoms_pos: tuple[tuple[float, float], ...]  # (location, mass)
-    atoms_neg: tuple[tuple[float, float], ...]
+    pieces: tuple[tuple[int, float, float, float, float], ...] = ()
     shift_pos: float = 0.0
     shift_neg: float = 0.0
 
-    def alive(self, label: int):
-        return list(self.alive_pos if label == 1 else self.alive_neg)
+    def alive(self, label: int) -> list[iv.Iv]:
+        """Where mu_label stays, in the coordinates of mu_label."""
+        return iv.complement([(lo, hi) for y, lo, hi, _, _ in self.pieces if y == label])
 
-    def atoms(self, label: int):
-        return list(self.atoms_pos if label == 1 else self.atoms_neg)
+    def atoms(self, label: int) -> list[tuple[float, float]]:
+        """(location, mass) of each atom of class label, sorted by location."""
+        acc: dict[float, float] = {}
+        for y, _, _, target, m in self.pieces:
+            if y == label:
+                acc[target] = acc.get(target, 0.0) + m
+        return sorted(acc.items())
 
     def shift(self, label: int) -> float:
         return self.shift_pos if label == 1 else self.shift_neg
+
+    def penalty(self, cfg: GameConfig) -> float:
+        """Omega of the map: the moved mass (mass) or the expected move length
+        (norm), each class weighted by its prior."""
+        total = 0.0
+        if cfg.penalty == "none":
+            return total
+        for y in (1, -1):
+            s = self.shift(y)
+            total += self.spec.prior(y) * (abs(s) if cfg.penalty == "norm" else float(s != 0))
+        for y, lo, hi, target, m in self.pieces:
+            move = (interval_abs_moment(self.spec, y, [(lo, hi)], target)
+                    if cfg.penalty == "norm" else m)
+            total += self.spec.prior(y) * move
+        return total
 
 
 def transported_measure(attack: AttackMap, spec: DistributionSpec) -> Transported1D:
     if spec.dimension != 1:
         raise UnsupportedDimension("transported measures are exact only for d = 1")
     if isinstance(attack, IdentityAttack):
-        return Transported1D(spec, _FULL_LINE, _FULL_LINE, (), ())
+        return Transported1D(spec)
     if isinstance(attack, TranslateAttack1D):
-        return Transported1D(spec, _FULL_LINE, _FULL_LINE, (), (),
-                             attack.shift_pos, attack.shift_neg)
+        return Transported1D(spec, (), attack.shift_pos, attack.shift_neg)
     if isinstance(attack, ZoneAttack1D):
-        alive, atoms = {}, {}
-        for label in (1, -1):
-            zone = attack.zone(label)
-            alive[label] = tuple(iv.complement(zone))
-            acc: dict[float, float] = {}
-            for lo, hi, target in attack.pieces(label):
-                m = interval_mass(spec, label, [(lo, hi)])
-                acc[target] = acc.get(target, 0.0) + m
-            atoms[label] = tuple(sorted(acc.items()))
-        return Transported1D(spec, alive[1], alive[-1], atoms[1], atoms[-1])
+        return Transported1D(spec, tuple(
+            (y, lo, hi, target, interval_mass(spec, y, [(lo, hi)]))
+            for y in (1, -1) for lo, hi, target in attack.pieces(y)
+        ))
     raise UnsupportedKind(
         f"no exact transported measure for attack kind {type(attack).__name__}"
     )
 
 
-def _error_profile(model) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Common cell refinement of all component forms with per-cell expected errors.
+@dataclass(frozen=True)
+class _ErrorProfile:
+    """A model's expected error on each cell between its components' common
+    breaks, against either label: the model's whole input to a quadrature score."""
 
-    Returns (breaks, err_vs_pos_label, err_vs_neg_label), one entry per cell.
-    """
+    spec: DistributionSpec
+    mix: MixedClassifier
+    breaks: list[float]
+    errs: dict[int, np.ndarray]  # label -> per-cell expected error
+
+    def errors(self, tr: Transported1D) -> dict[int, float]:
+        """E under phi_y # mu_y of the model's expected error, for y = +1 and -1."""
+        edges = [-math.inf] + self.breaks + [math.inf]
+        out = {}
+        for label in (1, -1):
+            s, alive = tr.shift(label), tr.alive(label)
+            total = 0.0
+            for e, lo, hi in zip(self.errs[label], edges[:-1], edges[1:]):
+                if e > 0.0:
+                    total += e * interval_mass(tr.spec, label,
+                                               iv.intersect(alive, [(lo - s, hi - s)]))
+            atoms = tr.atoms(label)
+            if atoms:
+                locs, masses = zip(*atoms)
+                errs = self.mix.expected_errors(np.reshape(locs, (-1, 1)), label)
+                for m, e in zip(masses, errs):
+                    total += m * float(e)
+            out[label] = total
+        return out
+
+    @cached_property
+    def natural(self) -> dict[int, float]:
+        return self.errors(Transported1D(self.spec))
+
+
+def _error_profile(model, spec: DistributionSpec) -> _ErrorProfile:
     mix = as_mixture(model)
-    forms = [interval_form(h) for h in mix.hypotheses]
+    forms = tuple(interval_form(h) for h in mix.hypotheses)
     breaks = sorted({b for f in forms for b in f.breaks})
-    err_pos = np.zeros(len(breaks) + 1)
-    err_neg = np.zeros(len(breaks) + 1)
-    probes = cell_probes(breaks)
-    for q, f in zip(mix.weights, forms):
-        idx = np.searchsorted(np.asarray(f.breaks), probes, side="left")
-        signs = np.asarray(f.signs)[idx]
-        err_pos += q * (signs != 1)
-        err_neg += q * (signs != -1)
-    return breaks, err_pos, err_neg
-
-
-def _pushforward_errors(model, tr: Transported1D) -> dict[int, float]:
-    """E under phi_y # mu_y of the model's expected error, for y = +1 and -1."""
-    breaks, err_pos, err_neg = _error_profile(model)
-    edges = [-math.inf] + breaks + [math.inf]
-    mix = as_mixture(model)
-    out = {}
-    for label, errs in ((1, err_pos), (-1, err_neg)):
-        s, alive = tr.shift(label), tr.alive(label)
-        total = 0.0
-        for e, lo, hi in zip(errs, edges[:-1], edges[1:]):
-            if e > 0.0:
-                total += e * interval_mass(tr.spec, label,
-                                           iv.intersect(alive, [(lo - s, hi - s)]))
-        atoms = tr.atoms(label)
-        if atoms:
-            locs, masses = zip(*atoms)
-            errs = mix.expected_errors(np.reshape(locs, (-1, 1)), label)
-            for m, e in zip(masses, errs):
-                total += m * float(e)
-        out[label] = total
-    return out
-
-
-def _natural_errors(model, spec: DistributionSpec) -> dict[int, float]:
-    return _pushforward_errors(model, Transported1D(spec, _FULL_LINE, _FULL_LINE, (), ()))
+    probes = cell_probes(breaks).reshape(-1, 1)
+    cells = MixedClassifier(forms, mix.weights)
+    return _ErrorProfile(spec, mix, breaks,
+                         {y: cells.expected_errors(probes, y) for y in (1, -1)})
 
 
 # ---------------------------------------------------------------------------
@@ -428,25 +435,9 @@ def penalty_value(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig) ->
         return 0.0
     if cfg.eval_method == "monte_carlo":
         return float(_mc_evaluate(attack, spec, cfg)[2].mean())
-    if isinstance(attack, IdentityAttack):
-        return 0.0
-    if isinstance(attack, TranslateAttack1D):
-        shifts = {1: attack.shift_pos, -1: attack.shift_neg}
-        if cfg.penalty == "mass":
-            return sum(spec.prior(y) * (1.0 if shifts[y] != 0 else 0.0) for y in (1, -1))
-        return sum(spec.prior(y) * abs(shifts[y]) for y in (1, -1))
-    if isinstance(attack, ZoneAttack1D):
-        total = 0.0
-        for y in (1, -1):
-            for lo, hi, target in attack.pieces(y):
-                if cfg.penalty == "mass":
-                    total += spec.prior(y) * interval_mass(spec, y, [(lo, hi)])
-                else:
-                    total += spec.prior(y) * interval_abs_moment(spec, y, [(lo, hi)], target)
-        return total
-    raise UnsupportedKind(
-        "penalty of a pointwise attack needs monte_carlo evaluation"
-    )
+    if isinstance(attack, PointwiseAttack):
+        raise UnsupportedKind("penalty of a pointwise attack needs monte_carlo evaluation")
+    return transported_measure(attack, spec).penalty(cfg)
 
 
 def adversarial_score(model, attack: AttackMap, spec: DistributionSpec,
@@ -459,12 +450,18 @@ def adversarial_score(model, attack: AttackMap, spec: DistributionSpec,
             f"quadrature evaluation is exact only in 1-D, the distribution is "
             f"{spec.dimension}-D; use \"eval\": {{\"method\": \"monte_carlo\"}}"
         )
-    nat = _natural_errors(model, spec)
-    att = _pushforward_errors(model, transported_measure(attack, spec))
-    pen = penalty_value(attack, spec, cfg)
-    risk_term = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
-    zone_pos = spec.prior_pos * (att[1] - nat[1])
-    zone_neg = (1 - spec.prior_pos) * (att[-1] - nat[-1])
+    return _quadrature_score(_error_profile(model, spec), transported_measure(attack, spec),
+                             cfg)
+
+
+def _quadrature_score(profile: _ErrorProfile, tr: Transported1D,
+                      cfg: GameConfig) -> ScoreReport:
+    """The exact score of a profiled model on a transported measure."""
+    nat, att, nu1 = profile.natural, profile.errors(tr), tr.spec.prior_pos
+    pen = tr.penalty(cfg)
+    risk_term = nu1 * nat[1] + (1 - nu1) * nat[-1]
+    zone_pos = nu1 * (att[1] - nat[1])
+    zone_neg = (1 - nu1) * (att[-1] - nat[-1])
     return ScoreReport(
         score=risk_term + zone_pos + zone_neg - cfg.lam * pen,
         risk_term=risk_term,
@@ -551,33 +548,45 @@ def best_response_attack(h: Hypothesis, spec: DistributionSpec,
     raise UnsupportedKind(f"no best-response attack for {type(h).__name__} in d > 2")
 
 
-def _worst_case_zone(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig):
-    """Natural risk of h's interval form and its full-epsilon zone pieces.
+def _worst_case(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig) -> ScoreReport:
+    """sup over admissible attacks of the regularized score (exact, 1-D forms).
 
-    Each piece (label, lo, hi, boundary) is a part of class label's attack
-    zone whose nearest boundary point of the opposite sign is boundary.
+    One pass over the pieces of the full-epsilon norm map of h's interval
+    form: each piece of class y gains nu_y times its mass in error, and costs
+    lam times its mass (mass penalty) or its mean distance to the boundary
+    point it is carried to (norm penalty).
     """
     form = interval_form(h)
-    nat = _natural_errors(form, spec)
+    tr = transported_measure(ZoneAttack1D(form, cfg.epsilon, "norm", cfg.norm_kind), spec)
+    nat = _error_profile(form, spec).natural
     risk_term = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
-    attack = ZoneAttack1D(form, cfg.epsilon, "norm", cfg.norm_kind)
-    pieces = [(y, lo, hi, b) for y in (1, -1) for lo, hi, b in attack.pieces(y)]
-    return risk_term, pieces
+    score, zone, pen = risk_term, {1: 0.0, -1: 0.0}, {1: 0.0, -1: 0.0}
+    for y, lo, hi, boundary, m in tr.pieces:
+        nu = spec.prior(y)
+        zone[y] += nu * m
+        if cfg.penalty == "mass":
+            pen[y] += nu * m
+            score += nu * (1 - cfg.lam) * m
+        else:
+            score += nu * m
+            if cfg.penalty == "norm":
+                move = interval_abs_moment(spec, y, [(lo, hi)], boundary)
+                pen[y] += nu * move
+                score -= nu * cfg.lam * move
+    return ScoreReport(
+        score=score,
+        risk_term=risk_term,
+        attack_zone_pos=zone[1],
+        attack_zone_neg=zone[-1],
+        penalty_value=pen[1] + pen[-1],
+        lam=cfg.lam,
+        method="quadrature",
+    )
 
 
 def worst_case_score(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig) -> float:
     """sup over admissible attacks of the regularized score (exact, 1-D forms)."""
-    total, pieces = _worst_case_zone(h, spec, cfg)
-    for y, lo, hi, boundary in pieces:
-        m = interval_mass(spec, y, [(lo, hi)])
-        if cfg.penalty == "mass":
-            total += spec.prior(y) * (1 - cfg.lam) * m
-        else:
-            total += spec.prior(y) * m
-            if cfg.penalty == "norm":
-                total -= spec.prior(y) * cfg.lam * interval_abs_moment(
-                    spec, y, [(lo, hi)], boundary)
-    return total
+    return _worst_case(h, spec, cfg).score
 
 
 def score_decomposition(h: Hypothesis, spec: DistributionSpec,
@@ -589,22 +598,7 @@ def score_decomposition(h: Hypothesis, spec: DistributionSpec,
     """
     if cfg.penalty != "norm":
         raise ConfigError("score_decomposition is defined for the norm penalty")
-    risk_term, pieces = _worst_case_zone(h, spec, cfg)
-    zone = {1: 0.0, -1: 0.0}
-    pen = {1: 0.0, -1: 0.0}
-    for y, lo, hi, boundary in pieces:
-        zone[y] += spec.prior(y) * interval_mass(spec, y, [(lo, hi)])
-        pen[y] += spec.prior(y) * interval_abs_moment(spec, y, [(lo, hi)], boundary)
-    total_pen = pen[1] + pen[-1]
-    return ScoreReport(
-        score=risk_term + zone[1] + zone[-1] - cfg.lam * total_pen,
-        risk_term=risk_term,
-        attack_zone_pos=zone[1],
-        attack_zone_neg=zone[-1],
-        penalty_value=total_pen,
-        lam=cfg.lam,
-        method="quadrature",
-    )
+    return _worst_case(h, spec, cfg)
 
 
 def best_response_defender(attack: AttackMap, spec: DistributionSpec,

@@ -342,11 +342,14 @@ class Interval1D(Hypothesis):
 
 def cell_probes(breaks) -> np.ndarray:
     """A strictly interior probe point of every cell between sorted breaks:
-    the midpoint, 1 past the end of an unbounded cell, 0.0 for the whole line."""
+    the midpoint, 1 past the end of an unbounded cell (the next float past it
+    where 1 is below the float spacing, |break| >= 2**53), 0.0 for the whole line."""
     if len(breaks) == 0:
         return np.array([0.0])
     b = np.asarray(breaks, dtype=float)
-    return np.concatenate([[b[0] - 1.0], 0.5 * (b[:-1] + b[1:]), [b[-1] + 1.0]])
+    first = min(b[0] - 1.0, np.nextafter(b[0], -np.inf))
+    last = max(b[-1] + 1.0, np.nextafter(b[-1], np.inf))
+    return np.concatenate([[first], 0.5 * (b[:-1] + b[1:]), [last]])
 
 
 def make_interval1d(breaks, signs, point_labels=()) -> Interval1D:

@@ -33,6 +33,8 @@ from .distributions import (
 from .errors import ConfigError, InvalidInput, TheoremRangeError, UnsupportedKind
 from .game import (
     GameConfig,
+    _error_profile,
+    _quadrature_score,
     adversarial_score,
     best_response_attack,
     best_response_defender,
@@ -72,15 +74,6 @@ class DynamicsReport:
     threshold: float
     passed: bool
     falsified: bool  # a non-improving round falsifies the implementation
-
-    def to_dict(self) -> dict:
-        return {
-            "rounds": [r.__dict__ | {"defender_breaks": list(r.defender_breaks)}
-                       for r in self.rounds],
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "falsified": self.falsified,
-        }
 
 
 def verify_no_pure_nash(spec: DistributionSpec, cfg: GameConfig, rounds: int = 5,
@@ -143,12 +136,6 @@ class GapReport:
     gap_oracle: float | None
     threshold: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["admissible"] = list(self.admissible)
-        d["flip_zone"] = list(self.flip_zone)
-        return d
 
 
 def _single_boundary(h1: Hypothesis) -> tuple[float, int]:
@@ -316,25 +303,22 @@ class DualityReport:
     inf_sup: float
     strict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": list(self.thresholds),
-            "payoff": [list(row) for row in self.payoff],
-            "sup_inf": self.sup_inf,
-            "inf_sup": self.inf_sup,
-            "strict": self.strict,
-        }
-
 
 def weak_duality_grid(spec: DistributionSpec, cfg: GameConfig,
                       thresholds) -> DualityReport:
-    """max_j min_i <= min_i max_j over threshold defenders vs their best responses."""
+    """max_j min_i <= min_i max_j over threshold defenders vs their best responses.
+
+    Each defender's error profile and each attack's transported measure is
+    built once; the n^2 exact payoffs are read from them.
+    """
     from .hypotheses import Threshold
 
+    cfg = replace(cfg, eval_method="quadrature")
     hyps = [Threshold(float(t)) for t in thresholds]
-    attacks = [best_response_attack(h, spec, cfg) for h in hyps]
+    measures = [transported_measure(best_response_attack(h, spec, cfg), spec) for h in hyps]
+    profiles = [_error_profile(h, spec) for h in hyps]
     payoff = np.array(
-        [[adversarial_score(h, phi, spec, cfg).score for phi in attacks] for h in hyps]
+        [[_quadrature_score(p, tr, cfg).score for tr in measures] for p in profiles]
     )
     sup_inf = float(payoff.min(axis=0).max())
     inf_sup = float(payoff.max(axis=1).min())

@@ -387,6 +387,12 @@ def _config_with(tmp_path, sub, keys, value):
     ("evaluate", ("attack", "cw"), None),
     ("risk", ("game", "eval"), None),
     ("bat", ("bat",), None),
+    # counts below 1 name their field
+    ("train", ("data", "n_train"), -5),
+    ("train", ("data", "n_train"), 0),
+    ("train", ("data", "n_test"), 0),
+    ("evaluate", ("data", "n_test"), 0),
+    ("bat", ("data", "n_test"), -3),
 ])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, sub, keys, value):
     path = _config_with(tmp_path, sub, keys, value)

@@ -52,6 +52,13 @@ def test_risk_constant_classifier(spec_1d_mix, cfg_mass):
     assert value == pytest.approx(1 - spec_1d_mix.prior_pos, abs=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e17, -1e17])
+def test_risk_of_a_threshold_beyond_float_unit_spacing(spec_1d, cfg_mass, t):
+    # each cell's error is read at a probe strictly inside it, also where
+    # t + 1.0 == t; a probe on the boundary would count an error for both labels
+    assert risk(ag.Threshold(t), spec_1d, cfg_mass) == 0.5
+
+
 def test_risk_complementary_mixture(spec_1d, cfg_mass):
     h = ag.Threshold(0.3)
     anti = ag.Threshold(0.3, -1)
@@ -284,3 +291,16 @@ def test_decomposition_matches_attack_score(spec_1d):
 def test_decomposition_requires_norm_penalty(spec_1d, cfg_mass):
     with pytest.raises(ConfigError):
         score_decomposition(ag.Threshold(0.0), spec_1d, cfg_mass)
+
+
+@pytest.mark.parametrize("h", [
+    ag.Threshold(0.0),
+    ag.Threshold(-0.4, -1),
+    ag.Interval1D((-1.0, 0.2, 1.5), (1, -1, 1, -1)),
+])
+def test_decomposition_score_is_the_worst_case_score(spec_1d_mix, h):
+    cfg = GameConfig("norm", 0.45, 0.2)
+    rep = score_decomposition(h, spec_1d_mix, cfg)
+    assert rep.score == worst_case_score(h, spec_1d_mix, cfg)
+    parts = rep.risk_term + rep.attack_zone_pos + rep.attack_zone_neg - cfg.lam * rep.penalty_value
+    assert rep.score == pytest.approx(parts, abs=1e-12)

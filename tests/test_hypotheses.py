@@ -11,6 +11,7 @@ from advgame.hypotheses import (
     Binned2D,
     Interval1D,
     as_mixture,
+    cell_probes,
     distance_to_sign,
     hypothesis_from_dict,
     hypothesis_to_dict,
@@ -188,6 +189,15 @@ def test_interval_form_region_flip_merges():
     form = interval_form(h)
     assert form.breaks == (0.5,)
     assert form.signs == (-1, 1)
+
+
+@pytest.mark.parametrize("breaks", [(0.0,), (-1.0, 2.5), (1e17,), (-1e17, 3e16)])
+def test_cell_probes_lie_strictly_inside_their_cells(breaks):
+    # past |b| = 2**53, b + 1.0 rounds back to b and would probe the break
+    edges = (-np.inf,) + breaks + (np.inf,)
+    probes = cell_probes(breaks)
+    assert len(probes) == len(breaks) + 1
+    assert all(lo < p < hi for lo, p, hi in zip(edges[:-1], probes, edges[1:]))
 
 
 def test_interval_form_unsupported():

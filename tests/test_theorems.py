@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_dynamics_rejects_none_penalty(spec_1d):
 
 def test_dynamics_report_dict_roundtrip(spec_1d):
     rep = verify_no_pure_nash(spec_1d, GameConfig("mass", 0.4, 0.4), rounds=2)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["passed"] is True
     assert len(d["rounds"]) == 2
     assert d["rounds"][0]["improvement"] > 0
@@ -212,6 +213,21 @@ def test_weak_duality_norm_penalty(spec_1d):
     cfg = GameConfig("norm", 0.3, 0.5)
     rep = weak_duality_grid(spec_1d, cfg, np.linspace(-1.0, 1.0, 11))
     assert rep.sup_inf <= rep.inf_sup + 1e-12
+
+
+@pytest.mark.parametrize("penalty", ["mass", "norm"])
+@pytest.mark.parametrize("spec_name", ["spec_1d", "spec_1d_mix"])
+def test_weak_duality_payoff_is_the_adversarial_score(request, spec_name, penalty):
+    # each cell is read from a shared error profile and transported measure;
+    # it must carry the bits of the direct score of h_i against phi_j
+    spec = request.getfixturevalue(spec_name)
+    cfg = GameConfig(penalty, 0.3, 0.5)
+    thresholds = np.linspace(-1.5, 1.5, 7)
+    rep = weak_duality_grid(spec, cfg, thresholds)
+    hyps = [ag.Threshold(float(t)) for t in thresholds]
+    attacks = [ag.best_response_attack(h, spec, cfg) for h in hyps]
+    direct = [[ag.adversarial_score(h, phi, spec, cfg).score for phi in attacks] for h in hyps]
+    assert np.array_equal(np.array(rep.payoff), np.array(direct))
 
 
 # ---------------------------------------------------------------------------
