@@ -22,7 +22,6 @@ from .game import (
     adversarial_score,
     best_response_attack,
     best_response_defender,
-    penalty_value,
     pointwise_attack_oracle,
     risk,
     score_decomposition,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,34 @@ def _exactly(kind):
     return check
 
 
+def _real(value) -> float:
+    """A JSON number as a float; a bool or a string is rejected (float(True)
+    is 1.0 and float("0.5") is 0.5)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _count(value) -> int:
+    """A JSON number without a fractional part, as an int (int(2.9) is 2)."""
+    if not _real(value).is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+def _finite(text: str) -> float:
+    """json.load's hook for NaN, Infinity and each number with a fraction or exponent."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"a JSON number must be finite, got {text}")
+    return value
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_finite, parse_float=_finite)
+
+
 def _converted(field: str, value, convert):
     """convert(value); a value of the wrong type or shape, or one without a key
     that convert reads, is a ConfigError.
@@ -52,8 +81,8 @@ def _converted(field: str, value, convert):
         raise
     except KeyError as exc:
         raise ConfigError(f"{field} needs the key {exc.args[0]!r}: {value!r}") from None
-    # StopIteration: a csv file without a header line
-    except (TypeError, ValueError, AttributeError, IndexError, StopIteration):
+    # StopIteration: a csv file without a header line; OverflowError: an int too big for a float
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError, StopIteration):
         raise ConfigError(f"{field} has the wrong type or shape: {value!r}") from None
 
 
@@ -93,7 +122,7 @@ def _nullable(convert):
 def _at_least_1(field: str):
     """A converter that takes a count and rejects one below 1."""
     def check(value):
-        n = int(value)
+        n = _count(value)
         if n < 1:
             raise ConfigError(f"{field} must be >= 1, got {n}")
         return n
@@ -101,14 +130,14 @@ def _at_least_1(field: str):
 
 
 def _float_list(value) -> list[float]:
-    return [float(v) for v in value]
+    return [_real(v) for v in value]
 
 
 def _box(box):
     if box is None:
         return None
     try:
-        lo, hi = (float(v) for v in box)
+        lo, hi = (_real(v) for v in box)
         ok = isinstance(box, list) and lo < hi
     except (TypeError, ValueError):
         ok = False
@@ -155,19 +184,19 @@ def _model_entries(value) -> list[dict]:
 
 
 # A table default of None leaves the field to its dataclass or to the handler.
-_EVAL = {"method": (_exactly(str), None), "n": (int, None), "seed": (int, None)}
-_GAME = {"penalty": (_exactly(str), MISSING), "lambda": (float, MISSING),
-         "epsilon": (float, MISSING), "norm_kind": (_exactly(str), None),
+_EVAL = {"method": (_exactly(str), None), "n": (_count, None), "seed": (_count, None)}
+_GAME = {"penalty": (_exactly(str), MISSING), "lambda": (_real, MISSING),
+         "epsilon": (_real, MISSING), "norm_kind": (_exactly(str), None),
          "eval": (_section("game.eval", _EVAL), None)}
 _GAME_NAMES = {"lambda": "lam", "method": "eval_method", "n": "mc_n", "seed": "mc_seed"}
-_PGD = {"epsilon_inf": (float, MISSING), "step": (float, MISSING), "iters": (int, MISSING),
-        "restarts": (int, None), "random_init": (_exactly(bool), None), "seed": (int, None)}
-_CW = {"lr": (float, None), "binary_search_steps": (int, None), "initial_const": (float, None),
-       "iters": (int, None), "abort_early": (_exactly(bool), None)}
-_TRAIN = {"mode": (_mode, "natural"), "epochs": (int, MISSING), "batch_size": (int, None),
-          "lr_stages": (lambda v: tuple((int(e), float(lr)) for e, lr in v), None),
-          "momentum": (float, None), "weight_decay": (float, None), "seed": (int, None),
-          "sizes": (lambda v: tuple(int(s) for s in v), None)}
+_PGD = {"epsilon_inf": (_real, MISSING), "step": (_real, MISSING), "iters": (_count, MISSING),
+        "restarts": (_count, None), "random_init": (_exactly(bool), None), "seed": (_count, None)}
+_CW = {"lr": (_real, None), "binary_search_steps": (_count, None), "initial_const": (_real, None),
+       "iters": (_count, None), "abort_early": (_exactly(bool), None)}
+_TRAIN = {"mode": (_mode, "natural"), "epochs": (_count, MISSING), "batch_size": (_count, None),
+          "lr_stages": (lambda v: tuple((_count(e), _real(lr)) for e, lr in v), None),
+          "momentum": (_real, None), "weight_decay": (_real, None), "seed": (_count, None),
+          "sizes": (lambda v: tuple(_count(s) for s in v), None)}
 _ATTACK = {
     "pgd": (lambda raw: _parse_attack(raw, "attack.pgd", attacks.PgdConfig, _PGD), None),
     "cw": (lambda raw: _parse_attack(raw, "attack.cw", attacks.CwConfig, _CW), None),
@@ -177,29 +206,29 @@ _ATTACK = {
                  None),
 }
 # data.n_test left out means 0 rows for a csv and 1000 draws from a distribution
-_DATA = {"n_train": (_at_least_1("data.n_train"), 2000), "n_test": (int, None),
-         "seed": (int, 0), "csv": (_nullable(_exactly(str)), None)}
-_ORACLE = {"inner": (int, 1025), "per_piece": (int, 256), "enabled": (_exactly(bool), True)}
-_BAT = {"n": (int, 2), "alpha_bat": (float, 0.2), "first_candidates": (int, 1)}
+_DATA = {"n_train": (_at_least_1("data.n_train"), 2000), "n_test": (_count, None),
+         "seed": (_count, 0), "csv": (_nullable(_exactly(str)), None)}
+_ORACLE = {"inner": (_count, 1025), "per_piece": (_count, 256), "enabled": (_exactly(bool), True)}
+_BAT = {"n": (_count, 2), "alpha_bat": (_real, 0.2), "first_candidates": (_count, 1)}
 _MODEL = {"name": (_exactly(str), MISSING), "path": (_exactly(str), MISSING)}
 # main adds "train", whose defaults come from the --preset schedule
 _TOP = {
     "distribution": (distributions.spec_from_dict, None),
     "game": (_parse_game, None),
     "hypothesis": (hypotheses.hypothesis_from_dict, None),
-    "rounds": (int, 5),
-    "improvement_threshold": (float, theorems.IMPROVEMENT_THRESHOLD),
-    "alpha_thm": (float, None),
-    "delta": (_nullable(float), None),
+    "rounds": (_count, 5),
+    "improvement_threshold": (_real, theorems.IMPROVEMENT_THRESHOLD),
+    "alpha_thm": (_real, None),
+    "delta": (_nullable(_real), None),
     "oracle": (_section("oracle", _ORACLE), {}),
-    "resolution": (int, 2001),
+    "resolution": (_count, 2001),
     "data": (_section("data", _DATA), {}),
     "attack": (_section("attack", _ATTACK), {}),
     "bat": (_section("bat", _BAT), {}),
     "models": (_model_entries, []),
     "candidates": (_float_list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
     "out_dir": (_exactly(str), "out"),
-    "seed": (int, 0),
+    "seed": (_count, 0),
 }
 
 
@@ -291,10 +320,10 @@ def _run_best_response(cfg, out_dir):
         "defender": hypotheses.hypothesis_to_dict(defender),
         "defender_score": asdict(rep_def),
     }
-    if isinstance(attack, game.ZoneAttack1D):
+    if isinstance(attack, game.Map1D) and gc.penalty != "none":
         results["zones"] = {
-            "pos": [list(p) for p in attack.pieces(1)],
-            "neg": [list(p) for p in attack.pieces(-1)],
+            name: [[lo, hi, t] for y, lo, hi, t in attack.pieces if y == label]
+            for name, label in (("pos", 1), ("neg", -1))
         }
     return results, True
 
@@ -379,8 +408,7 @@ def _run_bat(cfg, out_dir):
 def _load_model(entry: dict):
     """The hypothesis or mixture in the file at entry's path."""
     def parse(path):
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = _load_json(path)
         if "weights" in raw and "hypotheses" in raw:
             return hypotheses.mixture_from_dict(raw)
         return hypotheses.hypothesis_from_dict(raw)
@@ -463,8 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _load_json(args.config)
         parsed = _read(cfg, "", _TOP | {"train": (lambda raw: _parse_train(raw, args.preset), {})})
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -351,4 +351,7 @@ def measure_from_csv(path) -> EmpiricalMeasure:
         for row in reader:
             pts.append([float(v) for v in row[:-1]])
             labs.append(int(row[-1]))
-    return EmpiricalMeasure(np.array(pts), np.array(labs))
+    pts = np.array(pts)
+    if not np.isfinite(pts).all():
+        raise ValueError("a csv cell is not a finite number")
+    return EmpiricalMeasure(pts, np.array(labs))

@@ -2,9 +2,10 @@
 
 The exact layer works on the line. A hypothesis with computable geometry is
 converted to its interval form; the attacker's best response then has a closed
-form (zone maps), the transported measure is an interval-supported
-density plus Dirac atoms, and every expectation is an exact Gaussian-mixture
-interval integral. A brute-force per-point oracle provides the independent
+form, one piecewise map (Map1D) whose pieces both its `apply` and the
+transported measure read; that measure is an interval-supported density plus
+Dirac atoms, and every expectation is an exact Gaussian-mixture interval
+integral. A brute-force per-point oracle provides the independent
 route used to cross-check every closed form.
 
 Conventions baked in here:
@@ -150,31 +151,63 @@ class IdentityAttack(AttackMap):
         return np.array(np.atleast_2d(X), dtype=float, copy=True)
 
 
-@dataclass(frozen=True, eq=False)
-class ZoneAttack1D(AttackMap):
-    """Closed-form best response for mass/norm penalties on an interval form.
+@dataclass(frozen=True)
+class Map1D(AttackMap):
+    """Closed-form best response on the line, as one piecewise map.
 
-    mode "norm": project attackable points onto the decision boundary.
-    mode "mass": carry them across, overshooting by OVERSHOOT; the zone is
-    shrunk to depth budget - OVERSHOOT so the map stays within budget.
+    Each piece (y, lo, hi, target) carries class y's points on (lo, hi) to
+    target; every other class-y point moves by shift(y). The zone maps of the
+    mass and norm penalties have pieces and no shifts, the penalty-free
+    translation has shifts and no pieces.
+
+    On measure-zero sets: a piece is open at the end next to its target (the
+    decision boundary, which stays put) and closed at its far end, and where
+    two pieces meet the first one takes the point.
     """
 
-    form: Interval1D
     budget: float
-    mode: str  # "mass" | "norm"
+    pieces: tuple[tuple[int, float, float, float], ...] = ()
+    shift_pos: float = 0.0
+    shift_neg: float = 0.0
     norm_kind: str = "l2"
     kind = "closed_form"
 
-    @property
-    def radius(self) -> float:
-        return self.budget - OVERSHOOT if self.mode == "mass" else self.budget
+    def shift(self, label: int) -> float:
+        return self.shift_pos if label == 1 else self.shift_neg
 
-    def pieces(self, label: int) -> list[tuple[float, float, float]]:
-        """(lo, hi, atom location) pieces of the attack zone (the radius-band
-        of class label's cells), split at target midpoints."""
-        other = self.form.sign_intervals(-label)
-        out = []
-        for lo, hi in self.form.band(label, self.radius):
+    def apply(self, X, label):
+        pts = np.array(np.atleast_2d(X), dtype=float, copy=True)
+        x = pts[:, 0].copy()
+        if self.shift(label):  # a zero shift keeps every bit, -0.0 included
+            pts[:, 0] += self.shift(label)
+        free = np.ones(x.shape, dtype=bool)
+        for y, lo, hi, target in self.pieces:
+            if y == label:
+                inside = (x > lo) & (x <= hi) if target <= lo else (x >= lo) & (x < hi)
+                pts[free & inside, 0] = target
+                free &= ~inside
+        return pts
+
+
+def _zone_pieces(form: Interval1D, budget: float,
+                 mode: str) -> tuple[tuple[int, float, float, float], ...]:
+    """(y, lo, hi, target) pieces of the zone map of mode "mass" or "norm",
+    for y = +1 then -1: class y's band of cells within reach of the opposite
+    sign, split at the midpoint between its two nearest boundaries.
+
+    Norm carries each piece onto its nearest boundary. Mass carries it across
+    by OVERSHOOT, and its band is only budget - OVERSHOOT deep, so the map
+    stays within budget.
+    """
+    radius = budget - OVERSHOOT if mode == "mass" else budget
+
+    def target(boundary, side):
+        return boundary if mode == "norm" else boundary + side * OVERSHOOT
+
+    out = []
+    for y in (1, -1):
+        other = form.sign_intervals(-y)
+        for lo, hi in form.band(y, radius):
             left = [bhi for _, bhi in other if bhi <= lo + 1e-300]
             right = [blo for blo, _ in other if blo >= hi - 1e-300]
             lt = max(left) if left else None
@@ -182,53 +215,16 @@ class ZoneAttack1D(AttackMap):
             if lt is not None and rt is not None:
                 mid = 0.5 * (lt + rt)
                 if mid > lo:
-                    out.append((lo, min(hi, mid), self._target(lt, side=-1)))
+                    out.append((y, lo, min(hi, mid), target(lt, -1)))
                 if mid < hi:
-                    out.append((max(lo, mid), hi, self._target(rt, side=+1)))
+                    out.append((y, max(lo, mid), hi, target(rt, +1)))
             elif lt is not None:
-                out.append((lo, hi, self._target(lt, side=-1)))
+                out.append((y, lo, hi, target(lt, -1)))
             elif rt is not None:
-                out.append((lo, hi, self._target(rt, side=+1)))
+                out.append((y, lo, hi, target(rt, +1)))
             else:  # zone nonempty implies a reachable opposite cell
                 raise UnsupportedKind("attack zone with no adjacent opposite cell")
-        return out
-
-    def _target(self, boundary: float, side: int) -> float:
-        if self.mode == "norm":
-            return boundary
-        return boundary + side * OVERSHOOT
-
-    def apply(self, X, label):
-        pts = np.array(np.atleast_2d(X), dtype=float, copy=True)
-        x = pts[:, 0]
-        other = self.form.sign_intervals(-label)
-        attackable = (self.form.predicts(pts) == label) & (
-            iv.distance(other, x) <= self.radius
-        )
-        if attackable.any():
-            near = iv.nearest_point(other, x)
-            if self.mode == "norm":
-                target = near
-            else:
-                target = near + np.where(near > x, OVERSHOOT, -OVERSHOOT)
-            pts[:, 0] = np.where(attackable, target, x)
-        return pts
-
-
-@dataclass(frozen=True, eq=False)
-class TranslateAttack1D(AttackMap):
-    """Penalty-free best response: shift each class bodily toward the boundary."""
-
-    shift_pos: float
-    shift_neg: float
-    budget: float
-    norm_kind: str = "l2"
-    kind = "closed_form"
-
-    def apply(self, X, label):
-        pts = np.array(np.atleast_2d(X), dtype=float, copy=True)
-        pts[:, 0] += self.shift_pos if label == 1 else self.shift_neg
-        return pts
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,13 +331,11 @@ def transported_measure(attack: AttackMap, spec: DistributionSpec) -> Transporte
         raise UnsupportedDimension("transported measures are exact only for d = 1")
     if isinstance(attack, IdentityAttack):
         return Transported1D(spec)
-    if isinstance(attack, TranslateAttack1D):
-        return Transported1D(spec, (), attack.shift_pos, attack.shift_neg)
-    if isinstance(attack, ZoneAttack1D):
+    if isinstance(attack, Map1D):
         return Transported1D(spec, tuple(
             (y, lo, hi, target, interval_mass(spec, y, [(lo, hi)]))
-            for y in (1, -1) for lo, hi, target in attack.pieces(y)
-        ))
+            for y, lo, hi, target in attack.pieces
+        ), attack.shift_pos, attack.shift_neg)
     raise UnsupportedKind(
         f"no exact transported measure for attack kind {type(attack).__name__}"
     )
@@ -429,17 +423,6 @@ def risk(model, spec: DistributionSpec, cfg: GameConfig | None = None) -> float:
     return report.score
 
 
-def penalty_value(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig) -> float:
-    """Omega(phi): transported mass (mass) or expected perturbation norm (norm)."""
-    if cfg.penalty == "none":
-        return 0.0
-    if cfg.eval_method == "monte_carlo":
-        return float(_mc_evaluate(attack, spec, cfg)[2].mean())
-    if isinstance(attack, PointwiseAttack):
-        raise UnsupportedKind("penalty of a pointwise attack needs monte_carlo evaluation")
-    return transported_measure(attack, spec).penalty(cfg)
-
-
 def adversarial_score(model, attack: AttackMap, spec: DistributionSpec,
                       cfg: GameConfig) -> ScoreReport:
     """Regularized score of the model against a fixed attack."""
@@ -525,18 +508,15 @@ def best_response_attack(h: Hypothesis, spec: DistributionSpec,
         form = None
     if form is not None:
         if cfg.penalty in ("mass", "norm"):
-            return ZoneAttack1D(form, cfg.epsilon, cfg.penalty, cfg.norm_kind)
+            return Map1D(cfg.epsilon, _zone_pieces(form, cfg.epsilon, cfg.penalty),
+                         norm_kind=cfg.norm_kind)
         if len(form.breaks) != 1:
             raise UnsupportedKind(
                 "penalty-free best response needs a single-boundary hypothesis"
             )
         up = form.signs[1]  # sign above the boundary
-        return TranslateAttack1D(
-            shift_pos=-up * cfg.epsilon,
-            shift_neg=up * cfg.epsilon,
-            budget=cfg.epsilon,
-            norm_kind=cfg.norm_kind,
-        )
+        return Map1D(cfg.epsilon, shift_pos=-up * cfg.epsilon, shift_neg=up * cfg.epsilon,
+                     norm_kind=cfg.norm_kind)
     if isinstance(h, Linear):
         return LinearAttack(h, cfg.epsilon, cfg.penalty, cfg.norm_kind)
     if spec.dimension <= 2:
@@ -557,12 +537,11 @@ def _worst_case(h: Hypothesis, spec: DistributionSpec, cfg: GameConfig) -> Score
     point it is carried to (norm penalty).
     """
     form = interval_form(h)
-    tr = transported_measure(ZoneAttack1D(form, cfg.epsilon, "norm", cfg.norm_kind), spec)
     nat = _error_profile(form, spec).natural
     risk_term = spec.prior_pos * nat[1] + (1 - spec.prior_pos) * nat[-1]
     score, zone, pen = risk_term, {1: 0.0, -1: 0.0}, {1: 0.0, -1: 0.0}
-    for y, lo, hi, boundary, m in tr.pieces:
-        nu = spec.prior(y)
+    for y, lo, hi, boundary in _zone_pieces(form, cfg.epsilon, "norm"):
+        nu, m = spec.prior(y), interval_mass(spec, y, [(lo, hi)])
         zone[y] += nu * m
         if cfg.penalty == "mass":
             pen[y] += nu * m
@@ -615,9 +594,7 @@ def best_response_defender(attack: AttackMap, spec: DistributionSpec,
     if isinstance(attack, IdentityAttack):
         return bayes_optimal(spec)
     tr = transported_measure(attack, spec)
-    if isinstance(attack, TranslateAttack1D):
-        return bayes_optimal(_shifted_spec(tr))
-    return _transported_bayes(tr)
+    return _transported_bayes(tr) if tr.pieces else bayes_optimal(_shifted_spec(tr))
 
 
 def _shifted_spec(tr: Transported1D) -> DistributionSpec:

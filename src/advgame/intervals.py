@@ -82,17 +82,3 @@ def distance(a: list[Iv], x) -> np.ndarray:
         d = np.maximum(np.maximum(lo - x, x - hi), 0.0)
         out = np.minimum(out, d)
     return out
-
-
-def nearest_point(a: list[Iv], x) -> np.ndarray:
-    """Nearest point of the closure of the set, vectorized; nan for empty set."""
-    x = np.asarray(x, dtype=float)
-    best = np.full(x.shape, np.nan)
-    best_d = np.full(x.shape, INF)
-    for lo, hi in a:
-        cand = np.clip(x, lo, hi)
-        d = np.abs(cand - x)
-        take = d < best_d
-        best = np.where(take, cand, best)
-        best_d = np.where(take, d, best_d)
-    return best

@@ -9,9 +9,8 @@ from advgame.game import (
     GameConfig,
     IdentityAttack,
     LinearAttack,
+    Map1D,
     OVERSHOOT,
-    TranslateAttack1D,
-    ZoneAttack1D,
     adversarial_score,
     best_response_attack,
     best_response_defender,
@@ -22,7 +21,7 @@ from advgame.game import (
     transported_measure,
 )
 from advgame.hypotheses import Binned2D, Interval1D, MixedClassifier, Mlp, interval_form
-from advgame import nets
+from advgame import intervals as iv, nets
 from quadrature_oracle import discretized_score
 
 
@@ -32,7 +31,7 @@ from quadrature_oracle import discretized_score
 
 def test_mass_attack_crosses_boundary(spec_1d, cfg_mass):
     attack = best_response_attack(ag.Threshold(0.0), spec_1d, cfg_mass)
-    assert isinstance(attack, ZoneAttack1D)
+    assert isinstance(attack, Map1D)
     xs = np.array([[0.1], [0.4], [0.499998], [0.6], [-0.2]])
     out = attack.apply(xs, 1)
     # attackable points land just across the boundary
@@ -74,7 +73,7 @@ def test_attack_images_land_on_boundary_within_budget(spec_1d, cfg_norm):
 def test_none_penalty_attack_translates_everything(spec_1d):
     cfg = GameConfig("none", 0.3, 0.5)
     attack = best_response_attack(ag.Threshold(0.0), spec_1d, cfg)
-    assert isinstance(attack, TranslateAttack1D)
+    assert isinstance(attack, Map1D)
     xs = np.array([[1.4], [-0.2]])
     assert np.allclose(attack.apply(xs, 1)[:, 0], xs[:, 0] - 0.5)
     assert np.allclose(attack.apply(xs, -1)[:, 0], xs[:, 0] + 0.5)
@@ -349,7 +348,7 @@ def test_transported_measure_masses(spec_1d, cfg_norm):
 
 
 def test_transported_measure_of_translation(spec_1d):
-    attack = TranslateAttack1D(shift_pos=-0.3, shift_neg=0.2, budget=0.3)
+    attack = Map1D(0.3, shift_pos=-0.3, shift_neg=0.2)
     tr = transported_measure(attack, spec_1d)
     assert (tr.shift(1), tr.shift(-1)) == (-0.3, 0.2)
     for label in (1, -1):
@@ -375,3 +374,78 @@ def test_discretized_score_matches_between_paths(spec_1d, cfg_mass):
     b = discretized_score(h, oracle_apply, spec_1d, cfg_mass, xs)
     assert a >= b - 1e-9
     assert abs(a - b) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# One piecewise map behind apply and the exact scores
+# ---------------------------------------------------------------------------
+
+def _sweep_form(rng, n_breaks):
+    """Random breaks and cell signs; equal-sign neighbours are left unmerged."""
+    breaks = np.sort(rng.uniform(-3.0, 3.0, n_breaks)).tolist()
+    return Interval1D(tuple(breaks), tuple(int(s) for s in rng.choice([-1, 1], n_breaks + 1)))
+
+
+@pytest.mark.parametrize("penalty", ["mass", "norm", "none"])
+def test_map_apply_reads_the_pieces_on_a_seeded_sweep(penalty):
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        form = _sweep_form(rng, 1 if penalty == "none" else int(rng.integers(1, 5)))
+        eps = float(rng.uniform(0.05, 1.0))
+        attack = best_response_attack(form, None, GameConfig(penalty, 0.3, eps))
+        assert isinstance(attack, Map1D)
+        assert (attack.pieces == ()) == (penalty == "none" or len(set(form.signs)) == 1)
+        x = rng.uniform(-4.0, 4.0, 400)
+        for y in (1, -1):
+            out = attack.apply(x.reshape(-1, 1), y)[:, 0]
+            want = x + attack.shift(y) if attack.shift(y) else x.copy()
+            held = np.zeros(x.shape, dtype=bool)
+            for label, lo, hi, target in attack.pieces:
+                if label == y:
+                    inside = (x > lo) & (x < hi)
+                    want[inside] = target
+                    assert not (held & inside).any()
+                    held |= inside
+            assert np.array_equal(out, want)
+            if penalty == "none":
+                continue
+            # the pieces are the attackable band, each carried to its nearest
+            # opposite boundary (across it by OVERSHOOT under mass)
+            other = form.sign_intervals(-y)
+            radius = eps - OVERSHOOT if penalty == "mass" else eps
+            band = (form.predicts(x.reshape(-1, 1)) == y) & (iv.distance(other, x) <= radius)
+            assert np.array_equal(held, band)
+            ends = np.array([e for ab in other for e in ab if np.isfinite(e)])
+            if band.any():
+                near = ends[np.abs(ends[None, :] - x[band, None]).argmin(axis=1)]
+                over = OVERSHOOT if penalty == "mass" else 0.0
+                assert np.array_equal(out[band], near + np.sign(near - x[band]) * over)
+
+
+@pytest.mark.parametrize("penalty", ["mass", "norm"])
+def test_map_edge_rule_on_measure_zero_points(penalty):
+    over = OVERSHOOT if penalty == "mass" else 0.0
+    cfg = GameConfig(penalty, 0.3, 0.5)
+    attack = best_response_attack(ag.Threshold(0.0), None, cfg)
+    far = 0.5 - over  # the depth of the band
+    assert attack.pieces == ((1, 0.0, far, -over), (-1, -far, 0.0, over))
+    # a point on the boundary stays put: each piece is open next to its target
+    assert attack.apply(np.array([[0.0]]), 1)[0, 0] == 0.0
+    assert attack.apply(np.array([[0.0]]), -1)[0, 0] == 0.0
+    # the far end of a piece moves
+    assert attack.apply(np.array([[far]]), 1)[0, 0] == -over
+    assert attack.apply(np.array([[-far]]), -1)[0, 0] == over
+    # where two pieces meet, the first (left-target) piece takes the point
+    form = Interval1D((-1.0, 0.3), (1, -1, 1))
+    attack = best_response_attack(form, None, GameConfig(penalty, 0.3, 1.0))
+    mid = 0.5 * (-1.0 + 0.3)
+    neg = [p for p in attack.pieces if p[0] == -1]
+    assert [p[1:3] for p in neg] == [(-1.0, mid), (mid, 0.3)]
+    assert attack.apply(np.array([[mid]]), -1)[0, 0] == -1.0 - over
+
+
+def test_map_with_zero_shift_keeps_signed_zeros():
+    pts = np.array([[-0.0], [0.7]])
+    out = Map1D(0.5, shift_pos=0.0, shift_neg=0.2).apply(pts, 1)
+    assert np.array_equal(out, pts) and math.copysign(1.0, out[0, 0]) == -1.0
+    assert np.array_equal(Map1D(0.5, shift_neg=0.2).apply(pts, -1)[:, 0], [0.2, 0.7 + 0.2])

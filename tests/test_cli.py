@@ -330,6 +330,11 @@ def test_shipped_game_config_runs_every_game_subcommand(tmp_path):
     ("risk", ("bat", "n"), "x"),
     ("risk", ("attack", "reject_thresholds"), ["x"]),
     ("train", ("models",), 5),
+    # numbers are JSON numbers: float(True) is 1.0, float("0.5") is 0.5, int(2.9) is 2
+    ("score", ("game", "epsilon"), True),
+    ("score", ("game", "epsilon"), "0.5"),
+    ("no-nash", ("rounds",), 2.9),
+    ("no-nash", ("rounds",), True),
 ])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, sub, keys, value):
     path = _config_with(tmp_path, sub, keys, value)
@@ -565,3 +570,56 @@ def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys, field):
         path = _config_with(tmp_path, "evaluate", ("models",), [entry, entry])
     assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, token", [
+    (("game", "epsilon"), "NaN"),
+    (("game", "epsilon"), "Infinity"),
+    (("game", "epsilon"), "1e999"),
+    (("hypothesis", "t"), "NaN"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, keys, token):
+    # json.load takes NaN, Infinity and 1e999 (inf) unless told otherwise
+    path = _config_with(tmp_path, "score", keys, 0.123456789)
+    Path(path).write_text(Path(path).read_text().replace("0.123456789", token))
+    assert cli.main(["score", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: a JSON number must be finite, got {token}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_csv_cell_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x0,x1,label\n0.2,0.3,-1\n0.7,nan,1\n")
+    cfg = _config_with(tmp_path, "train", ("data", "csv"), str(csv_path))
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: data.csv has the wrong type")
+    assert not (tmp_path / "o" / "model.json").exists()
+
+
+def test_non_finite_number_in_a_model_file_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "threshold", "t": NaN}')
+    entry = {"name": "m", "path": str(model)}
+    cfg = _config_with(tmp_path, "evaluate", ("models",), [entry])
+    assert cli.main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: a JSON number must be finite, got NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("penalty, zones", [
+    ("mass", {"pos": [[-1.9999989999999999, -1.0, -0.999999], [0.3, 1.299999, 0.299999]],
+              "neg": [[-1.0, -0.35, -1.000001], [-0.35, 0.3, 0.30000099999999996]]}),
+    ("norm", {"pos": [[-2.0, -1.0, -1.0], [0.3, 1.3, 0.3]],
+              "neg": [[-1.0, -0.35, -1.0], [-0.35, 0.3, 0.3]]}),
+])
+def test_best_response_zones_are_the_attack_pieces(tmp_path, penalty, zones):
+    cfg = write_config(tmp_path, {
+        "game": {"penalty": penalty, "lambda": 0.3, "epsilon": 1.0},
+        "hypothesis": {"kind": "interval1d", "breaks": [-1.0, 0.3], "signs": [1, -1, 1]},
+    })
+    out = str(tmp_path / "br")
+    assert cli.main(["best-response", "--config", cfg, "--out", out]) == 0
+    assert read_report(out, "best_response_report.json")["results"]["zones"] == zones
+    # the penalty-free translation has no zones
+    cfg = write_config(tmp_path, {"game": {"penalty": "none", "lambda": 0.3, "epsilon": 1.0}})
+    assert cli.main(["best-response", "--config", cfg, "--out", out]) == 0
+    assert "zones" not in read_report(out, "best_response_report.json")["results"]

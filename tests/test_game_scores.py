@@ -10,12 +10,12 @@ from advgame.errors import ConfigError
 from advgame.game import (
     GameConfig,
     IdentityAttack,
-    ZoneAttack1D,
+    Map1D,
     adversarial_score,
     best_response_attack,
-    penalty_value,
     risk,
     score_decomposition,
+    transported_measure,
     worst_case_score,
 )
 from quadrature_oracle import GridSpec, integrate
@@ -80,23 +80,21 @@ def test_risk_monte_carlo_within_band(spec_1d):
 
 def test_penalty_identity_is_zero(spec_1d, cfg_mass, cfg_norm):
     for cfg in (cfg_mass, cfg_norm):
-        assert penalty_value(IdentityAttack(), spec_1d, cfg) == 0.0
+        assert transported_measure(IdentityAttack(), spec_1d).penalty(cfg) == 0.0
 
 
 def test_penalty_none_kind_is_zero(spec_1d):
     cfg = GameConfig("none", 0.3, 0.5)
     attack = ag.best_response_attack(ag.Threshold(0.0), spec_1d, cfg)
-    assert penalty_value(attack, spec_1d, cfg) == 0.0
+    assert transported_measure(attack, spec_1d).penalty(cfg) == 0.0
 
 
 def test_penalty_move_one_class_mass(spec_1d):
     # an attack moving every class-+1 point and fixing class -1 has mass
     # penalty nu_1 exactly
-    from advgame.game import TranslateAttack1D
-
     cfg = GameConfig("mass", 0.3, 0.5)
-    attack = TranslateAttack1D(shift_pos=0.5, shift_neg=0.0, budget=0.5)
-    assert penalty_value(attack, spec_1d, cfg) == pytest.approx(spec_1d.prior_pos)
+    attack = Map1D(0.5, shift_pos=0.5, shift_neg=0.0)
+    assert transported_measure(attack, spec_1d).penalty(cfg) == pytest.approx(spec_1d.prior_pos)
 
 
 def _window(lo, hi):
@@ -110,7 +108,7 @@ def _window(lo, hi):
 def test_penalty_norm_matches_quadrature_oracle(spec_1d, cfg_norm):
     # nu1 * int_0^0.5 x dmu1 + nu-1 * int_-0.5^0 |x| dmu-1, by the trapezoid oracle
     attack = ag.best_response_attack(ag.Threshold(0.0), spec_1d, cfg_norm)
-    got = penalty_value(attack, spec_1d, cfg_norm)
+    got = transported_measure(attack, spec_1d).penalty(cfg_norm)
     grid = GridSpec(resolution=16001, bounds=((-10.0, 10.0),))
     pos = integrate(
         lambda pts: np.abs(pts[:, 0]) * _window(0.0, 0.5)(pts), spec_1d, 1, grid)
@@ -134,7 +132,6 @@ def test_mc_norm_penalty_is_measured_in_the_attack_norm(norm_kind):
     step = ag.pushforward_empirical(sample, attack).points - sample.points
     moves = {"l2": np.linalg.norm(step, axis=1), "linf": np.abs(step).max(axis=1)}
     assert moves[norm_kind].mean() > 0
-    assert penalty_value(attack, spec, cfg) == moves[norm_kind].mean()
     assert adversarial_score(h, attack, spec, cfg).penalty_value == moves[norm_kind].mean()
     if norm_kind == "linf":
         assert moves["l2"].mean() / moves["linf"].mean() == pytest.approx(math.sqrt(2))
@@ -159,13 +156,11 @@ def _threshold_errors(spec, t, orientation, shifts):
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("penalty", ["mass", "norm", "none"])
 def test_translate_score_matches_closed_form(spec_name, orientation, penalty, request):
-    from advgame.game import TranslateAttack1D
-
     spec = request.getfixturevalue(spec_name)
     t, shifts = 0.25, {1: -0.3, -1: 0.2}
     h = ag.Threshold(t, orientation)
     cfg = GameConfig(penalty, 0.3, 0.3)
-    attack = TranslateAttack1D(shift_pos=shifts[1], shift_neg=shifts[-1], budget=0.3)
+    attack = Map1D(0.3, shift_pos=shifts[1], shift_neg=shifts[-1])
     rep = adversarial_score(h, attack, spec, cfg)
     nat = _threshold_errors(spec, t, orientation, {1: 0.0, -1: 0.0})
     att = _threshold_errors(spec, t, orientation, shifts)
@@ -234,9 +229,7 @@ def test_budget_monotonicity(spec_1d):
 def test_score_monte_carlo_reports_stderr(spec_1d):
     cfg = GameConfig("mass", 0.3, 0.5, eval_method="monte_carlo", mc_n=5000, mc_seed=1)
     h = ag.Threshold(0.0)
-    attack = ZoneAttack1D(
-        __import__("advgame.hypotheses", fromlist=["interval_form"]).interval_form(h),
-        0.5, "mass")
+    attack = best_response_attack(h, spec_1d, GameConfig("mass", 0.3, 0.5))
     rep = adversarial_score(h, attack, spec_1d, cfg)
     assert rep.method == "monte_carlo"
     assert rep.stderr is not None and rep.stderr > 0

@@ -38,13 +38,11 @@ def test_difference_and_dilate():
         iv.dilate([(0, 1)], -0.1)
 
 
-def test_distance_and_nearest_point():
+def test_distance_to_an_interval_set():
     a = [(-2.0, -1.0), (1.0, 2.0)]
     xs = np.array([-3.0, -1.5, 0.0, 0.9, 1.5, 4.0])
     dist = iv.distance(a, xs)
     assert np.allclose(dist, [1.0, 0.0, 1.0, 0.1, 0.0, 2.0])
-    near = iv.nearest_point(a, xs)
-    assert np.allclose(near, [-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
     assert iv.distance([], np.array([0.0]))[0] == INF
 
 
@@ -70,15 +68,3 @@ def test_dilation_is_distance_thresholding(a, r, x):
     if abs(d - r) < 1e-9:
         return  # boundary of the dilation, convention-dependent
     assert bool(iv.contains(iv.dilate(na, r), x)) == (d <= r)
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=ivsets(), x=st.floats(-12, 12))
-def test_nearest_point_achieves_distance(a, x):
-    na = iv.normalize(a)
-    if not na:
-        return
-    near = float(iv.nearest_point(na, np.array([x]))[0])
-    d = float(iv.distance(na, np.array([x]))[0])
-    assert brute_contains(na, near)
-    assert abs(abs(near - x) - d) < 1e-9
