@@ -23,7 +23,8 @@ import time
 from dataclasses import MISSING, asdict
 
 from . import attacks, distributions, game, hypotheses, theorems, training
-from .errors import AdvGameError, ConfigError
+from .distributions import _count, _real
+from .errors import AdvGameError, ConfigError, WrongType
 
 SUBCOMMANDS = (
     "risk", "score", "best-response", "no-nash", "rand-gap", "fig1",
@@ -39,21 +40,6 @@ def _exactly(kind):
             raise TypeError(f"expected {kind.__name__}")
         return value
     return check
-
-
-def _real(value) -> float:
-    """A JSON number as a float; a bool or a string is rejected (float(True)
-    is 1.0 and float("0.5") is 0.5)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected a number")
-    return float(value)
-
-
-def _count(value) -> int:
-    """A JSON number without a fractional part, as an int (int(2.9) is 2)."""
-    if not _real(value).is_integer():
-        raise ValueError("expected a whole number")
-    return int(value)
 
 
 def _finite(text: str) -> float:
@@ -73,10 +59,14 @@ def _converted(field: str, value, convert):
     """convert(value); a value of the wrong type or shape, or one without a key
     that convert reads, is a ConfigError.
 
-    An AdvGameError that convert raises keeps its own message.
+    An AdvGameError that convert raises keeps its own message, except that a
+    WrongType from a spec or hypothesis reader is reported under field.
     """
     try:
         return convert(value)
+    except WrongType as exc:
+        raise ConfigError(f"{field} has the wrong type or shape: {exc.key} = {exc.value!r}"
+                          ) from None
     except AdvGameError:
         raise
     except KeyError as exc:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
 from scipy.optimize import brentq
 
-from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension
+from .errors import AdvGameError, DimensionMismatch, InvalidInput, UnsupportedDimension, WrongType
 from . import intervals as iv
 
 WEIGHT_TOL = 1e-12
@@ -75,6 +76,10 @@ class DistributionSpec:
         means = np.array([c.mean for c in comps])
         sds = np.sqrt(np.array([c.var for c in comps]))
         return (means - k_sigma * sds).min(axis=0), (means + k_sigma * sds).max(axis=0)
+
+    @cached_property
+    def _bayes_roots(self) -> tuple[float, ...]:
+        return tuple(_solve_bayes_roots(self))
 
 
 def two_gaussians_1d(mean_neg: float = -1.0, mean_pos: float = 1.0,
@@ -252,8 +257,12 @@ def interval_abs_moment(spec: DistributionSpec, label: int, ivs: list[iv.Iv], c:
 
 
 def bayes_roots(spec: DistributionSpec) -> list[float]:
-    """Sign changes of nu1*mu1 - nu-1*mu-1 on the line (the Bayes boundary)."""
+    """Sign changes of nu1*mu1 - nu-1*mu-1 (the Bayes boundary), solved once per spec."""
     _check_1d(spec)
+    return list(spec._bayes_roots)
+
+
+def _solve_bayes_roots(spec: DistributionSpec) -> list[float]:
     lo, hi = spec.bounds()
     xs = np.linspace(float(lo[0]), float(hi[0]), BAYES_SCAN_POINTS)
 
@@ -309,6 +318,43 @@ def _island_roots(spec: DistributionSpec, f, xs: np.ndarray, sign: np.ndarray) -
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _real(value) -> float:
+    """A JSON number as a float; a bool or a string is rejected (float(True)
+    is 1.0 and float("0.5") is 0.5)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _count(value) -> int:
+    """A JSON number without a fractional part, as an int (int(2.9) is 2)."""
+    if not _real(value).is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+def _reals(values) -> tuple[float, ...]:
+    return tuple(_real(v) for v in values)
+
+
+_REQUIRED = object()
+
+
+def _field(d: dict, key: str, convert, default=_REQUIRED):
+    """convert(d[key]), or convert(default) where key is absent and has one.
+
+    A value of the wrong type or shape raises WrongType naming key; a package
+    error keeps its message and an absent required key raises KeyError.
+    """
+    value = d[key] if default is _REQUIRED else d.get(key, default)
+    try:
+        return convert(value)
+    except AdvGameError:
+        raise
+    except (TypeError, ValueError):
+        raise WrongType(key, value) from None
+
+
 def spec_to_dict(spec: DistributionSpec) -> dict:
     def comps(cs):
         return [{"weight": c.weight, "mean": list(c.mean), "var": list(c.var)} for c in cs]
@@ -323,21 +369,18 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
 
 def spec_from_dict(d: dict) -> DistributionSpec:
     def comps(raw):
-        return tuple(
-            GaussianComponent(float(c["weight"]), tuple(float(v) for v in c["mean"]),
-                              tuple(float(v) for v in c["var"]))
-            for c in raw
-        )
+        return tuple(GaussianComponent(_real(c["weight"]), _reals(c["mean"]), _reals(c["var"]))
+                     for c in raw)
 
     known = {"prior_pos", "dimension", "components_pos", "components_neg"}
     unknown = set(d) - known
     if unknown:
         raise InvalidInput(f"unknown distribution fields: {sorted(unknown)}")
     return DistributionSpec(
-        prior_pos=float(d["prior_pos"]),
-        dimension=int(d["dimension"]),
-        components_pos=comps(d["components_pos"]),
-        components_neg=comps(d["components_neg"]),
+        prior_pos=_field(d, "prior_pos", _real),
+        dimension=_field(d, "dimension", _count),
+        components_pos=_field(d, "components_pos", comps),
+        components_neg=_field(d, "components_neg", comps),
     )
 
 

@@ -9,6 +9,14 @@ class InvalidInput(AdvGameError, ValueError):
     """Malformed or out-of-contract argument."""
 
 
+class WrongType(InvalidInput):
+    """A field of a serialized object holds a value of the wrong type or shape."""
+
+    def __init__(self, key: str, value):
+        super().__init__(f"{key} has the wrong type or shape: {value!r}")
+        self.key, self.value = key, value
+
+
 class DimensionMismatch(InvalidInput):
     """Point dimension does not match the object it is used with."""
 

@@ -5,8 +5,8 @@ converted to its interval form; the attacker's best response then has a closed
 form, one piecewise map (Map1D) whose pieces both its `apply` and the
 transported measure read; that measure is an interval-supported density plus
 Dirac atoms, and every expectation is an exact Gaussian-mixture interval
-integral. A brute-force per-point oracle provides the independent
-route used to cross-check every closed form.
+integral. Scores and verifiers read one error profile per model and one measure
+per attack. A brute-force per-point oracle cross-checks every closed form.
 
 Conventions baked in here:
   * predictions of 0 (decision boundary) count as errors against both labels;
@@ -21,7 +21,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -287,25 +287,31 @@ class Transported1D:
     Each piece (y, lo, hi, target, mass) is a part of class y's attack zone:
     the map carries mu_y's mass on (lo, hi) to an atom at target. Zone maps
     keep the shifts at 0.0; the penalty-free translation shifts the whole line
-    and has no pieces.
+    and has no pieces. Alive sets and atoms are computed once per label, the
+    penalty once per kind.
     """
 
     spec: DistributionSpec
     pieces: tuple[tuple[int, float, float, float, float], ...] = ()
     shift_pos: float = 0.0
     shift_neg: float = 0.0
+    _penalties: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def alive(self, label: int) -> list[iv.Iv]:
         """Where mu_label stays, in the coordinates of mu_label."""
-        return iv.complement([(lo, hi) for y, lo, hi, _, _ in self.pieces if y == label])
+        return list(self._by_label[label][0])
 
     def atoms(self, label: int) -> list[tuple[float, float]]:
         """(location, mass) of each atom of class label, sorted by location."""
-        acc: dict[float, float] = {}
+        return list(self._by_label[label][1])
+
+    @cached_property
+    def _by_label(self) -> dict[int, tuple[list[iv.Iv], list[tuple[float, float]]]]:
+        acc: dict[int, dict[float, float]] = {1: {}, -1: {}}
         for y, _, _, target, m in self.pieces:
-            if y == label:
-                acc[target] = acc.get(target, 0.0) + m
-        return sorted(acc.items())
+            acc[y][target] = acc[y].get(target, 0.0) + m
+        return {y: (iv.complement([(lo, hi) for z, lo, hi, _, _ in self.pieces if z == y]),
+                    sorted(acc[y].items())) for y in (1, -1)}
 
     def shift(self, label: int) -> float:
         return self.shift_pos if label == 1 else self.shift_neg
@@ -313,16 +319,17 @@ class Transported1D:
     def penalty(self, cfg: GameConfig) -> float:
         """Omega of the map: the moved mass (mass) or the expected move length
         (norm), each class weighted by its prior."""
+        kind = cfg.penalty
+        if kind == "none" or kind in self._penalties:
+            return self._penalties.get(kind, 0.0)
         total = 0.0
-        if cfg.penalty == "none":
-            return total
         for y in (1, -1):
             s = self.shift(y)
-            total += self.spec.prior(y) * (abs(s) if cfg.penalty == "norm" else float(s != 0))
+            total += self.spec.prior(y) * (abs(s) if kind == "norm" else float(s != 0))
         for y, lo, hi, target, m in self.pieces:
-            move = (interval_abs_moment(self.spec, y, [(lo, hi)], target)
-                    if cfg.penalty == "norm" else m)
+            move = interval_abs_moment(self.spec, y, [(lo, hi)], target) if kind == "norm" else m
             total += self.spec.prior(y) * move
+        self._penalties[kind] = total
         return total
 
 
@@ -593,7 +600,11 @@ def best_response_defender(attack: AttackMap, spec: DistributionSpec,
         raise UnsupportedDimension("defender best response needs d <= 2")
     if isinstance(attack, IdentityAttack):
         return bayes_optimal(spec)
-    tr = transported_measure(attack, spec)
+    return _defender_of(transported_measure(attack, spec))
+
+
+def _defender_of(tr: Transported1D) -> Hypothesis:
+    """The exact Bayes rule of a transported measure on the line."""
     return _transported_bayes(tr) if tr.pieces else bayes_optimal(_shifted_spec(tr))
 
 
@@ -645,11 +656,10 @@ def _transported_bayes(tr: Transported1D) -> Interval1D:
         labels.append((loc, lab))
     point_labels = [(loc, lab) for loc, lab in labels if loc in breaks]
     h = make_interval1d(breaks_sorted, signs, point_labels)
-    for loc, lab in labels:  # atoms must end up classified as decided
-        if h.predict(np.array([loc])) != lab:
-            raise InvalidInput(
-                f"internal: atom at {loc} classified {h.predict(np.array([loc]))}, wanted {lab}"
-            )
+    got = h.predicts(np.reshape([loc for loc, _ in labels], (-1, 1)))
+    for (loc, lab), pred in zip(labels, got):
+        if pred != lab:  # atoms must end up classified as decided
+            raise InvalidInput(f"internal: atom at {loc} classified {pred}, wanted {lab}")
     return h
 
 

@@ -19,6 +19,10 @@ from . import nets
 from .distributions import (
     DistributionSpec,
     _as_points,
+    _count,
+    _field,
+    _real,
+    _reals,
     bayes_roots,
     density,
     spec_from_dict,
@@ -278,10 +282,11 @@ class RegionFlip(Hypothesis):
 class Interval1D(Hypothesis):
     """Piecewise-constant sign on the line, with optional labels at breakpoints.
 
-    signs has one entry per cell (len(breaks) + 1) and alternates by
-    construction: adjacent equal-sign cells are merged. point_labels assigns a
-    definite prediction at individual breakpoints (used for Dirac atoms that a
-    best-responding defender must classify); unlabeled breakpoints predict 0.
+    signs has one entry per cell (len(breaks) + 1) and alternates: adjacent
+    cells of equal sign are rejected (make_interval1d merges them). point_labels
+    assigns a definite prediction at individual breakpoints (used for Dirac atoms
+    that a best-responding defender must classify); unlabeled breakpoints
+    predict 0.
     """
 
     breaks: tuple[float, ...]
@@ -295,6 +300,8 @@ class Interval1D(Hypothesis):
             raise InvalidInput("need len(signs) == len(breaks) + 1")
         if any(s not in (-1, 1) for s in self.signs):
             raise InvalidInput("cell signs must be +1 or -1")
+        if any(a == b for a, b in zip(self.signs, self.signs[1:])):
+            raise InvalidInput(f"adjacent cells must have opposite signs, got {self.signs}")
         if list(self.breaks) != sorted(set(self.breaks)):
             raise InvalidInput("breaks must be strictly increasing")
         bset = set(self.breaks)
@@ -526,9 +533,9 @@ def hypothesis_to_dict(h: Hypothesis) -> dict:
 def hypothesis_from_dict(d: dict) -> Hypothesis:
     kind = d.get("kind")
     if kind == "threshold":
-        return Threshold(float(d["t"]), int(d.get("orientation", 1)))
+        return Threshold(_field(d, "t", _real), _field(d, "orientation", _count, 1))
     if kind == "linear":
-        return Linear(tuple(float(v) for v in d["w"]), float(d["b"]))
+        return Linear(_field(d, "w", _reals), _field(d, "b", _real))
     if kind == "bayes":
         return Bayes(spec_from_dict(d["spec"]))
     if kind == "mlp":
@@ -537,14 +544,14 @@ def hypothesis_from_dict(d: dict) -> Hypothesis:
         return RegionFlip(hypothesis_from_dict(d["base"]), region_from_dict(d["region"]))
     if kind == "interval1d":
         return Interval1D(
-            tuple(float(b) for b in d["breaks"]),
-            tuple(int(s) for s in d["signs"]),
-            tuple((float(l), int(s)) for l, s in d.get("point_labels", [])),
+            _field(d, "breaks", _reals),
+            _field(d, "signs", lambda v: tuple(_count(s) for s in v)),
+            _field(d, "point_labels", lambda v: tuple((_real(l), _count(s)) for l, s in v), []),
         )
     if kind == "binned2d":
         return Binned2D(
-            tuple(tuple(float(v) for v in e) for e in d["edges"]),
-            tuple(tuple(int(s) for s in row) for row in d["signs"]),
+            _field(d, "edges", lambda v: tuple(_reals(e) for e in v)),
+            _field(d, "signs", lambda v: tuple(tuple(_count(s) for s in row) for row in v)),
         )
     raise UnsupportedKind(f"unknown hypothesis kind {kind!r}")
 
@@ -566,10 +573,10 @@ def region_to_dict(r: Region) -> dict:
 def region_from_dict(d: dict) -> Region:
     kind = d.get("kind")
     if kind == "interval":
-        return IntervalRegion(float(d["lo"]), float(d["hi"]))
+        return IntervalRegion(_field(d, "lo", _real), _field(d, "hi", _real))
     if kind == "band":
-        return BandRegion(hypothesis_from_dict(d["h"]), float(d["delta"]),
-                          int(d["side"]), d.get("norm_kind", "l2"))
+        return BandRegion(hypothesis_from_dict(d["h"]), _field(d, "delta", _real),
+                          _field(d, "side", _count), d.get("norm_kind", "l2"))
     raise UnsupportedKind(f"unknown region kind {kind!r}")
 
 
@@ -583,5 +590,5 @@ def mixture_to_dict(m: MixedClassifier) -> dict:
 def mixture_from_dict(d: dict) -> MixedClassifier:
     return MixedClassifier(
         tuple(hypothesis_from_dict(h) for h in d["hypotheses"]),
-        tuple(float(w) for w in d["weights"]),
+        _field(d, "weights", _reals),
     )

@@ -33,11 +33,10 @@ from .distributions import (
 from .errors import ConfigError, InvalidInput, TheoremRangeError, UnsupportedKind
 from .game import (
     GameConfig,
+    _defender_of,
     _error_profile,
     _quadrature_score,
-    adversarial_score,
     best_response_attack,
-    best_response_defender,
     oracle_value_profiles,
     transported_measure,
     worst_case_score,
@@ -93,15 +92,17 @@ def verify_no_pure_nash(spec: DistributionSpec, cfg: GameConfig, rounds: int = 5
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     cfg = replace(cfg, eval_method="quadrature")  # assertions use the exact path
     h = interval_form(bayes_optimal(spec))
+    profile = _error_profile(h, spec)
     out = []
     for r in range(1, rounds + 1):
-        attack = best_response_attack(h, spec, cfg)
-        s_att = adversarial_score(h, attack, spec, cfg).score
-        h_next = best_response_defender(attack, spec, cfg)
-        s_def = adversarial_score(h_next, attack, spec, cfg).score
-        out.append(DynamicsRound(r, s_att, s_def, s_att - s_def,
-                                 interval_form(h_next).breaks))
+        tr = transported_measure(best_response_attack(h, spec, cfg), spec)
+        s_att = _quadrature_score(profile, tr, cfg).score
+        h_next = _defender_of(tr)
+        next_profile = _error_profile(h_next, spec)
+        s_def = _quadrature_score(next_profile, tr, cfg).score
         h = interval_form(h_next)
+        out.append(DynamicsRound(r, s_att, s_def, s_att - s_def, h.breaks))
+        profile = next_profile if h is h_next else _error_profile(h, spec)
     improvements_ok = all(r.improvement > threshold for r in out)
     return DynamicsReport(tuple(out), threshold, improvements_ok, not improvements_ok)
 

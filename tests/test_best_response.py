@@ -20,7 +20,14 @@ from advgame.game import (
     pointwise_attack_oracle,
     transported_measure,
 )
-from advgame.hypotheses import Binned2D, Interval1D, MixedClassifier, Mlp, interval_form
+from advgame.hypotheses import (
+    Binned2D,
+    Interval1D,
+    MixedClassifier,
+    Mlp,
+    interval_form,
+    make_interval1d,
+)
 from advgame import intervals as iv, nets
 from quadrature_oracle import discretized_score
 
@@ -381,9 +388,13 @@ def test_discretized_score_matches_between_paths(spec_1d, cfg_mass):
 # ---------------------------------------------------------------------------
 
 def _sweep_form(rng, n_breaks):
-    """Random breaks and cell signs; equal-sign neighbours are left unmerged."""
+    """Random breaks and cell signs, equal-sign neighbours merged; a lone break
+    keeps opposite signs, so the penalty-free map has its boundary."""
     breaks = np.sort(rng.uniform(-3.0, 3.0, n_breaks)).tolist()
-    return Interval1D(tuple(breaks), tuple(int(s) for s in rng.choice([-1, 1], n_breaks + 1)))
+    signs = rng.choice([-1, 1], n_breaks + 1)
+    if n_breaks == 1:
+        signs[1] = -signs[0]
+    return make_interval1d(breaks, signs)
 
 
 @pytest.mark.parametrize("penalty", ["mass", "norm", "none"])

@@ -605,6 +605,30 @@ def test_non_finite_number_in_a_model_file_exits_2(tmp_path, capsys):
     assert "config error: a JSON number must be finite, got NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, value", [
+    (("hypothesis", "t"), True),
+    (("hypothesis", "t"), "0.5"),
+    (("hypothesis", "orientation"), 1.9),
+    (("distribution", "dimension"), 1.7),
+    (("distribution", "prior_pos"), "0.5"),
+])
+def test_spec_and_hypothesis_value_of_the_wrong_type_exits_2(tmp_path, capsys, keys, value):
+    # each of these used to run: a threshold at 1.0 or 0.5, an orientation or
+    # dimension truncated to 1, a prior read from a string
+    path = _config_with(tmp_path, "score", keys, value)
+    assert cli.main(["score", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: {keys[0]} has the wrong type or shape: "
+                                       f"{keys[1]} = {value!r}\n")
+
+
+def test_model_file_with_adjacent_cells_of_equal_sign_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text('{"kind": "interval1d", "breaks": [0.0, 1.0], "signs": [1, 1, -1]}')
+    cfg = _config_with(tmp_path, "evaluate", ("models",), [{"name": "m", "path": str(model)}])
+    assert cli.main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: adjacent cells must have opposite signs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("penalty, zones", [
     ("mass", {"pos": [[-1.9999989999999999, -1.0, -0.999999], [0.3, 1.299999, 0.299999]],
               "neg": [[-1.0, -0.35, -1.000001], [-0.35, 0.3, 0.30000099999999996]]}),

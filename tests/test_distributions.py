@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 import advgame as ag
 from advgame import distributions as dist
-from advgame.errors import BudgetViolation, InvalidInput, UnsupportedDimension
+from advgame.errors import BudgetViolation, InvalidInput, UnsupportedDimension, WrongType
 from advgame.game import IdentityAttack, PointwiseAttack
 from quadrature_oracle import GridSpec, integrate
 
@@ -265,6 +265,26 @@ def test_spec_json_roundtrip(spec_1d_mix):
     text = json.dumps(dist.spec_to_dict(spec_1d_mix))
     back = dist.spec_from_dict(json.loads(text))
     assert back == spec_1d_mix
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prior_pos", "0.5"),
+    ("prior_pos", True),
+    ("dimension", 1.7),
+    ("dimension", True),
+    ("dimension", "1"),
+    ("components_pos", [{"weight": True, "mean": [1.0], "var": [1.0]}]),
+    ("components_neg", [{"weight": 1.0, "mean": ["-1"], "var": [1.0]}]),
+])
+def test_spec_reader_rejects_a_value_of_the_wrong_type(spec_1d, key, value):
+    raw = dist.spec_to_dict(spec_1d) | {key: value}
+    with pytest.raises(WrongType) as exc:
+        dist.spec_from_dict(raw)
+    assert exc.value.key == key
+
+
+def test_spec_reader_takes_a_whole_float_dimension(spec_1d):
+    assert dist.spec_from_dict(dist.spec_to_dict(spec_1d) | {"dimension": 1.0}) == spec_1d
 
 
 def test_spec_rejects_unknown_fields(spec_1d):

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 import advgame as ag
 from advgame import nets
-from advgame.errors import InvalidInput, UnsupportedKind
+from advgame.errors import InvalidInput, UnsupportedKind, WrongType
 from advgame.hypotheses import (
     Binned2D,
     Interval1D,
@@ -174,6 +174,16 @@ def test_interval_form_canonicalizes_same_sign_cells():
     assert form.signs == (-1, 1)
 
 
+def test_interval1d_rejects_adjacent_cells_of_equal_sign():
+    # (1, 1, -1) would predict 0 at a break between two positive cells
+    with pytest.raises(InvalidInput, match="opposite signs"):
+        Interval1D((0.0, 1.0), (1, 1, -1))
+    with pytest.raises(InvalidInput, match="opposite signs"):
+        hypothesis_from_dict({"kind": "interval1d", "breaks": [0.0, 1.0], "signs": [1, 1, -1]})
+    assert make_interval1d((0.0, 1.0), (1, 1, -1)) == Interval1D((1.0,), (1, -1))
+    assert Interval1D((), (-1,)).predict(np.array([0.0])) == -1
+
+
 def test_interval1d_point_labels():
     h = Interval1D((0.0,), (-1, 1), ((0.0, 1),))
     assert h.predict(np.array([0.0])) == 1
@@ -283,6 +293,45 @@ def test_hypothesis_roundtrips(spec_1d):
         xs = np.linspace(-2, 2, 23)
         pts = xs.reshape(-1, 1) if back.dimension == 1 else np.column_stack([xs, xs])
         assert np.array_equal(back.predicts(pts), h.predicts(pts))
+
+
+_THRESHOLD = {"kind": "threshold", "t": 0.0}
+_CELLS = {"kind": "interval1d", "breaks": [0.0], "signs": [-1, 1]}
+
+
+@pytest.mark.parametrize("raw, key", [
+    # floats: float(True) is 1.0 and float("0.5") is 0.5
+    (_THRESHOLD | {"t": True}, "t"),
+    (_THRESHOLD | {"t": "0.5"}, "t"),
+    ({"kind": "linear", "w": [1.0, "2"], "b": 0.0}, "w"),
+    ({"kind": "linear", "w": [1.0], "b": False}, "b"),
+    (_CELLS | {"breaks": ["0"]}, "breaks"),
+    (_CELLS | {"point_labels": [[True, 1]]}, "point_labels"),
+    ({"kind": "binned2d", "edges": [[0.0, "1"], [0.0, 1.0]], "signs": [[1]]}, "edges"),
+    # integers: int(1.9) is 1 and int(True) is 1
+    (_THRESHOLD | {"orientation": 1.9}, "orientation"),
+    (_THRESHOLD | {"orientation": True}, "orientation"),
+    (_CELLS | {"signs": [-1.5, 1]}, "signs"),
+    (_CELLS | {"signs": [-1, True]}, "signs"),
+    (_CELLS | {"point_labels": [[0.0, 0.5]]}, "point_labels"),
+    (_CELLS | {"point_labels": [[0.0, False]]}, "point_labels"),
+    ({"kind": "binned2d", "edges": [[0.0, 1.0], [0.0, 1.0]], "signs": [[1.5]]}, "signs"),
+    ({"kind": "region_flip", "base": _THRESHOLD,
+      "region": {"kind": "band", "h": _THRESHOLD, "delta": 0.5, "side": 1.5}}, "side"),
+    ({"kind": "region_flip", "base": _THRESHOLD,
+      "region": {"kind": "interval", "lo": "0", "hi": 1.0}}, "lo"),
+])
+def test_hypothesis_reader_rejects_a_value_of_the_wrong_type(raw, key):
+    with pytest.raises(WrongType) as exc:
+        hypothesis_from_dict(raw)
+    assert exc.value.key == key
+
+
+def test_hypothesis_reader_takes_whole_floats_as_integers():
+    assert hypothesis_from_dict(_THRESHOLD | {"orientation": -1.0}) == ag.Threshold(0.0, -1)
+    assert hypothesis_from_dict(_CELLS | {"signs": [-1.0, 1.0]}) == Interval1D((0.0,), (-1, 1))
+    with pytest.raises(WrongType, match="weights"):
+        mixture_from_dict({"weights": ["1"], "hypotheses": [_THRESHOLD]})
 
 
 def test_region_roundtrips_and_rejects_unknown_kinds():

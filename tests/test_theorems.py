@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,9 +8,18 @@ from scipy.stats import norm
 from scipy.integrate import quad
 
 import advgame as ag
+from advgame.distributions import bayes_roots
 from advgame.errors import ConfigError, InvalidInput, TheoremRangeError, UnsupportedKind
-from advgame.game import GameConfig
+from advgame.game import (
+    GameConfig,
+    adversarial_score,
+    best_response_attack,
+    best_response_defender,
+    transported_measure,
+)
+from advgame.hypotheses import interval_form
 from advgame.theorems import (
+    DynamicsRound,
     admissible_alpha_interval,
     fig1_export,
     randomization_gap,
@@ -66,6 +75,73 @@ def test_dynamics_skip_zero_mass_atoms():
     )
     rep = verify_no_pure_nash(spec, GameConfig("mass", 0.3, 0.4), rounds=8)
     assert rep.passed and len(rep.rounds) == 8
+
+
+def _three_root_mixture():
+    """The first seeded two-vs-two-component mixture with three Bayes roots."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        sd = float(rng.uniform(0.8, 1.2))
+
+        def comps(means):
+            w = float(rng.uniform(0.3, 0.7))
+            return tuple(ag.GaussianComponent(q, (float(m),), (sd * sd,))
+                         for q, m in zip((w, 1.0 - w), means))
+
+        spec = ag.DistributionSpec(0.5, 1, comps(rng.uniform(-3.0, 3.0, 2)),
+                                   comps(rng.uniform(-3.0, 3.0, 2)))
+        if len(bayes_roots(spec)) == 3:
+            return spec
+    raise AssertionError("no three-root mixture among the seeds")
+
+
+def _public_dynamics(spec, cfg, rounds):
+    """verify_no_pure_nash's rounds composed from the public best responses
+    and scores, one call each, as the verifier read them before it shared
+    one measure and one profile per round."""
+    cfg = replace(cfg, eval_method="quadrature")
+    h = interval_form(ag.bayes_optimal(spec))
+    out = []
+    for r in range(1, rounds + 1):
+        attack = best_response_attack(h, spec, cfg)
+        s_att = adversarial_score(h, attack, spec, cfg).score
+        h_next = best_response_defender(attack, spec, cfg)
+        s_def = adversarial_score(h_next, attack, spec, cfg).score
+        out.append(DynamicsRound(r, s_att, s_def, s_att - s_def, interval_form(h_next).breaks))
+        h = interval_form(h_next)
+    return out
+
+
+@pytest.mark.parametrize("spec_name", ["two_gaussians", "three_roots"])
+@pytest.mark.parametrize("penalty", ["mass", "norm"])
+def test_dynamics_rounds_equal_the_public_loop(spec_name, penalty):
+    spec = ag.two_gaussians_1d() if spec_name == "two_gaussians" else _three_root_mixture()
+    cfg = GameConfig(penalty, 0.3, 0.4)
+    rep = verify_no_pure_nash(spec, cfg, rounds=8)
+    assert list(rep.rounds) == _public_dynamics(spec, cfg, 8)  # every bit, no tolerance
+
+
+def test_memoised_roots_and_measures_are_not_shared_with_callers():
+    spec = _three_root_mixture()
+    roots = list(bayes_roots(spec))
+    assert len(roots) == 3
+    got = bayes_roots(spec)
+    got.append(99.0)
+    got[0] = -99.0
+    assert bayes_roots(spec) == roots
+    cfg = GameConfig("mass", 0.3, 0.4)
+    attack = best_response_attack(ag.bayes_optimal(spec), spec, cfg)
+    tr = transported_measure(attack, spec)
+    for y in (1, -1):
+        alive, atoms = list(tr.alive(y)), list(tr.atoms(y))
+        assert atoms
+        tr.alive(y).append((5.0, 6.0))
+        tr.atoms(y).clear()
+        assert tr.alive(y) == alive and tr.atoms(y) == atoms
+    # one measure keeps a penalty per kind: each equals a fresh measure's
+    for kind in ("mass", "norm", "none", "mass", "norm"):
+        kind_cfg = GameConfig(kind, 0.3, 0.4)
+        assert tr.penalty(kind_cfg) == transported_measure(attack, spec).penalty(kind_cfg)
 
 
 # ---------------------------------------------------------------------------
