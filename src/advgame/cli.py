@@ -23,23 +23,13 @@ import time
 from dataclasses import MISSING, asdict
 
 from . import attacks, distributions, game, hypotheses, theorems, training
-from .distributions import _count, _real
+from .distributions import _count, _exactly, _real
 from .errors import AdvGameError, ConfigError, WrongType
 
 SUBCOMMANDS = (
     "risk", "score", "best-response", "no-nash", "rand-gap", "fig1",
     "train", "bat", "evaluate", "alpha-grid",
 )
-
-
-def _exactly(kind):
-    """A converter that passes a value of this JSON type through and rejects
-    any other (bool("false") is True, str(5) is "5")."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}")
-        return value
-    return check
 
 
 def _finite(text: str) -> float:

@@ -333,6 +333,16 @@ def _count(value) -> int:
     return int(value)
 
 
+def _exactly(kind):
+    """A converter that passes a value of this JSON type through and rejects
+    any other (bool("false") is True, str(5) is "5")."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}")
+        return value
+    return check
+
+
 def _reals(values) -> tuple[float, ...]:
     return tuple(_real(v) for v in values)
 

@@ -48,6 +48,7 @@ from .hypotheses import (
     Interval1D,
     Linear,
     MixedClassifier,
+    NORMS,
     as_mixture,
     ball_offsets,
     cell_probes,
@@ -59,9 +60,9 @@ from .hypotheses import (
 OVERSHOOT = 1e-6
 BUDGET_TOL = 1e-9
 DEFENDER_BINS = 64  # bins per axis of the 2-D binned best-response defender
+ORACLE_BLOCK = 2048  # grid values (rows x candidate offsets) per block of the ball-grid oracle
 
 PENALTIES = ("mass", "norm", "none")
-NORMS = ("l2", "linf")
 EVALS = ("quadrature", "monte_carlo")
 
 
@@ -681,19 +682,16 @@ def _binned_defender(attack: AttackMap, spec: DistributionSpec, cfg: GameConfig)
 # Brute-force pointwise oracle
 # ---------------------------------------------------------------------------
 
-def _essential_error_pair(forms_weights, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _essential_error_pair(cells, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expected error at each z against labels (+1, -1), one-sided at breaks.
 
     This is the essential-supremum-compatible error: an isolated boundary
-    point only counts for what holds on a neighborhood side of it.
+    point only counts for what holds on a neighborhood side of it. cells is
+    the table of _cell_errors.
     """
-    pos_left = np.zeros(z.shape)
-    pos_right = np.zeros(z.shape)
-    for q, breaks, signs in forms_weights:
-        il = np.searchsorted(breaks, z, side="left")
-        ir = np.minimum(np.searchsorted(breaks, z, side="right"), len(signs) - 1)
-        pos_left += q * (signs[il] != 1)
-        pos_right += q * (signs[ir] != 1)
+    breaks, pos = cells
+    pos_left = pos[np.searchsorted(breaks, z, side="left")]
+    pos_right = pos[np.searchsorted(breaks, z, side="right")]
     # binary signs: err against -1 is the complement of err against +1
     return (
         np.maximum(pos_left, pos_right),
@@ -701,29 +699,40 @@ def _essential_error_pair(forms_weights, z: np.ndarray) -> tuple[np.ndarray, np.
     )
 
 
-def _forms_weights(mix: MixedClassifier):
-    return [
-        (q, np.asarray(f.breaks), np.asarray(f.signs))
-        for q, f in ((q, interval_form(h)) for q, h in zip(mix.weights, mix.hypotheses))
-    ]
+def _cell_errors(mix: MixedClassifier) -> tuple[np.ndarray, np.ndarray]:
+    """The union breaks of the interval forms and, per union cell (the one below
+    breaks[0] first), the error against +1 summed over components in order."""
+    forms = [(q, interval_form(h)) for q, h in zip(mix.weights, mix.hypotheses)]
+    breaks = np.unique(np.concatenate([f.breaks for _, f in forms]))
+    pos = np.zeros(breaks.size + 1)
+    for q, f in forms:
+        # union cell c > 0 lies in the component's cell just right of breaks[c - 1]
+        cell = np.searchsorted(f.breaks, breaks, side="right")
+        pos += q * (np.asarray(f.signs)[np.r_[0, cell]] != 1)
+    return breaks, pos
 
 
 def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, labels):
     """Yield (rows, Z, |offsets|, {label: err - lam*pen}) per block of xs.
 
     The ball grid is Z = x + offsets[j], offsets = linspace(-eps, eps, grid_n).
-    Each row holds, in ascending j, only the candidate offsets that can carry
+    A block is a set of rows whose balls reach the same breaks b of the
+    interval forms, x + offsets[0] <= b <= x + offsets[-1] (in floats, as Z is
+    computed), cut to at most ORACLE_BLOCK grid values or one row. Each row
+    holds, in ascending j, only the candidate offsets that can carry
     max_j [err(Z_j) - lam*pen(offsets[j])]: the origin index, plus a window of
-    j = k-2 .. k+2 around k = searchsorted(offsets, b - x) for every distinct
-    break b of the interval forms that some ball of the block reaches. This is
-    exact: the one-sided error is constant on each run of grid points between
-    consecutive breaks (and on each run sitting exactly on a break), and the
-    penalty grows with |offset|, so a run's best point is the origin or its
-    end nearest the origin, which lies next to a break. Rounding b - x instead
-    of x + offsets[j] moves that end by at most one index. The values kept are
-    computed exactly as on the full grid, so maxima are bit-identical, and the
-    first maximizer of smallest |offset| is the same grid point. A model
-    without interval forms keeps all grid_n offsets.
+    j = k-2 .. k+2 around k = searchsorted(offsets, b - x) for every break b
+    its ball reaches. This is exact: the one-sided error is constant on each
+    run of grid points between consecutive breaks (and on each run sitting
+    exactly on a break), and the penalty grows with |offset|, so a run's best
+    point is the origin or its end nearest the origin, which lies next to a
+    break. Rounding b - x instead of x + offsets[j] moves that end by at most
+    one index. The errors come from one table of per-cell errors over the
+    union breaks (_cell_errors), summed over components as the full grid sums
+    them, so maxima are bit-identical, and the first maximizer of smallest
+    |offset| is the same grid point. No row's values depend on the other rows
+    of its block, so results do not depend on how xs is ordered or batched.
+    A model without interval forms keeps all grid_n offsets.
     """
     offsets = np.linspace(-cfg.epsilon, cfg.epsilon, grid_n)
     abs_off = np.abs(offsets)
@@ -732,30 +741,39 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     window = np.arange(-2, 3)
     mix = as_mixture(model)
     try:
-        fw = _forms_weights(mix)
-        all_breaks = np.unique(np.concatenate([b for _, b, _ in fw]))
+        cells = _cell_errors(mix)
     except UnsupportedKind:
-        fw = None
-    chunk = max(1, int(4e6 // grid_n))
-    for i in range(0, len(xs), chunk):
-        block = xs[i:i + chunk]
-        J = np.arange(grid_n)[None, :]
-        if fw is not None:
-            lo, hi = block.min() + offsets[0], block.max() + offsets[-1]
-            bs = all_breaks[(all_breaks >= lo) & (all_breaks <= hi)]
-            if 1 + window.size * bs.size < grid_n:
+        cells = None
+    breaks = np.empty(0) if cells is None else cells[0]
+    # a row reaches breaks[first:stop]; one key per (first, stop)
+    n = breaks.size + 1
+    key = (np.searchsorted(breaks, xs + offsets[0], side="left") * n
+           + np.searchsorted(breaks, xs + offsets[-1], side="right"))
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    for s, e in zip(starts, np.r_[starts[1:], len(xs)]):
+        first, stop = divmod(int(key[order[s]]), n)
+        bs = breaks[first:stop]
+        width = 1 + window.size * bs.size
+        windowed = cells is not None and width < grid_n
+        step = max(1, ORACLE_BLOCK // (width if windowed else grid_n))
+        for i in range(s, e, step):
+            rows = order[i:min(i + step, e)]
+            block = xs[rows]
+            J = np.arange(grid_n)[None, :]
+            if windowed:
                 k = np.searchsorted(offsets, bs[None, :] - block[:, None])
                 near = (k[:, :, None] + window).reshape(len(block), -1)
                 J = np.column_stack([np.full(len(block), origin), near])
                 J = np.sort(np.clip(J, 0, grid_n - 1), axis=1)
-        J = np.broadcast_to(J, (len(block), J.shape[1]))
-        Z = block[:, None] + offsets[J]
-        if fw is not None:
-            pair = dict(zip((1, -1), _essential_error_pair(fw, Z.ravel())))
-        else:
-            pair = {y: mix.expected_errors(Z.reshape(-1, 1), y) for y in labels}
-        vals = {y: pair[y].reshape(Z.shape) - pens[J] for y in labels}
-        yield slice(i, i + len(block)), Z, abs_off[J], vals
+            J = np.broadcast_to(J, (len(block), J.shape[1]))
+            Z = block[:, None] + offsets[J]
+            if cells is not None:
+                pair = dict(zip((1, -1), _essential_error_pair(cells, Z.ravel())))
+            else:
+                pair = {y: mix.expected_errors(Z.reshape(-1, 1), y) for y in labels}
+            vals = {y: pair[y].reshape(Z.shape) - pens[J] for y in labels}
+            yield rows, Z, abs_off[J], vals
 
 
 def oracle_value_profiles(model, xs: np.ndarray, cfg: GameConfig,

@@ -20,6 +20,7 @@ from .distributions import (
     DistributionSpec,
     _as_points,
     _count,
+    _exactly,
     _field,
     _real,
     _reals,
@@ -32,6 +33,7 @@ from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension, Unsup
 
 WEIGHT_TOL = 1e-12
 BALL_GRID_N = 65  # grid points per axis of the ball that distance_to_sign searches
+NORMS = ("l2", "linf")
 
 
 def three_sign(values) -> np.ndarray:
@@ -175,6 +177,8 @@ class BandRegion(Region):
             raise InvalidInput("delta must be >= 0")
         if self.side not in (-1, 1):
             raise InvalidInput("side must be +1 or -1")
+        if self.norm_kind not in NORMS:
+            raise InvalidInput(f"norm_kind must be one of {NORMS}, got {self.norm_kind!r}")
 
     def contains_many(self, X) -> np.ndarray:
         pts, _ = _as_points(X, self.h.dimension)
@@ -576,7 +580,7 @@ def region_from_dict(d: dict) -> Region:
         return IntervalRegion(_field(d, "lo", _real), _field(d, "hi", _real))
     if kind == "band":
         return BandRegion(hypothesis_from_dict(d["h"]), _field(d, "delta", _real),
-                          _field(d, "side", _count), d.get("norm_kind", "l2"))
+                          _field(d, "side", _count), _field(d, "norm_kind", _exactly(str), "l2"))
     raise UnsupportedKind(f"unknown region kind {kind!r}")
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .distributions import _count, _field, _real
 from .errors import DimensionMismatch, InvalidInput
 
 LEAKY_SLOPE = 0.1
@@ -187,10 +188,10 @@ def mlp_to_dict(model: MlpModel) -> dict:
 
 
 def mlp_from_dict(d: dict) -> MlpModel:
-    sizes = [int(s) for s in d["sizes"]]
+    sizes = _field(d, "sizes", lambda v: [_count(s) for s in v])
     weights = [
         np.array(w, dtype=float).reshape(fan_in, fan_out)
         for w, fan_in, fan_out in zip(d["weights"], sizes[:-1], sizes[1:])
     ]
     biases = [np.array(b, dtype=float) for b in d["biases"]]
-    return MlpModel(weights, biases, float(d.get("slope", LEAKY_SLOPE)))
+    return MlpModel(weights, biases, _field(d, "slope", _real, LEAKY_SLOPE))

@@ -266,7 +266,8 @@ def worst_case_score_oracle(model, spec: DistributionSpec, cfg: GameConfig,
     Outer integration is the midpoint rule on pieces split at every structural
     breakpoint, so the integrand is smooth per piece and no evaluation point
     ever sits on a kink or touches a cell boundary with the ball endpoint.
-    The inner grid contains the origin and both ball endpoints.
+    The inner grid contains the origin and both ball endpoints. One oracle
+    pass scores the midpoints of all pieces; the sums stay per piece.
     """
     if per_piece < 1:
         raise InvalidInput(f"per_piece must be >= 1, got {per_piece}")
@@ -279,16 +280,17 @@ def worst_case_score_oracle(model, spec: DistributionSpec, cfg: GameConfig,
         splits.update((b, b - cfg.epsilon, b + cfg.epsilon))
     splits.update(extra_splits)
     edges = sorted(s for s in splits if lo_b <= s <= hi_b)
+    pieces = [(a, (b - a) / per_piece) for a, b in zip(edges[:-1], edges[1:])
+              if b - a >= 1e-12]
+    xs = np.concatenate([a + (np.arange(per_piece) + 0.5) * h for a, h in pieces])
+    profiles = oracle_value_profiles(mix, xs, cfg, inner_n)
+    weighted = {label: profiles[label] * np.asarray(density(spec, label, xs.reshape(-1, 1)))
+                for label in (1, -1)}
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-12:
-            continue
-        h = (b - a) / per_piece
-        xs = a + (np.arange(per_piece) + 0.5) * h
-        profiles = oracle_value_profiles(mix, xs, cfg, inner_n)
+    for i, (_, h) in enumerate(pieces):
+        piece = slice(i * per_piece, (i + 1) * per_piece)
         for label in (1, -1):
-            dens = np.asarray(density(spec, label, xs.reshape(-1, 1)))
-            total += spec.prior(label) * float((profiles[label] * dens).sum() * h)
+            total += spec.prior(label) * float(weighted[label][piece].sum() * h)
     return total
 
 

@@ -286,6 +286,43 @@ def test_oracle_without_interval_form_searches_full_grid():
         assert np.array_equal(oracle_value_profiles(h, xs, cfg, 65)[y], vals.max(axis=1))
 
 
+@pytest.mark.parametrize("penalty", ["mass", "norm"])
+def test_oracle_does_not_depend_on_batching(penalty):
+    # rows reach no break, one break, several, or (the dense comb) more than
+    # a windowed grid of 33 points holds, so their blocks differ in width
+    comb = make_interval1d(np.linspace(1.0, 1.3, 9).tolist(), [(-1) ** i for i in range(10)])
+    models = [
+        ag.Threshold(0.0),
+        MixedClassifier((ag.Threshold(0.0), Interval1D((-0.5, 0.25), (1, -1, 1)), comb),
+                        (0.5, 0.3, 0.2)),
+        Mlp(nets.init_mlp((1, 6, 1), seed=3)),
+    ]
+    cfg = GameConfig(penalty, 0.3, 0.5)
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([rng.uniform(-3, 3, 4000), np.arange(-12, 13) / 8.0])
+    perm = rng.permutation(len(xs))
+    for model in models:
+        profiles = oracle_value_profiles(model, xs, cfg, 33)
+        shuffled = oracle_value_profiles(model, xs[perm], cfg, 33)
+        halves = [oracle_value_profiles(model, part, cfg, 33) for part in (xs[:1700], xs[1700:])]
+        for y in (1, -1):
+            assert np.array_equal(shuffled[y], profiles[y][perm])
+            assert np.array_equal(np.concatenate([h[y] for h in halves]), profiles[y])
+            points = oracle_attack_points_1d(model, xs, y, cfg, 33)
+            assert np.array_equal(oracle_attack_points_1d(model, xs[perm], y, cfg, 33),
+                                  points[perm])
+            assert np.array_equal(np.concatenate([
+                oracle_attack_points_1d(model, part, y, cfg, 33) for part in (xs[:1700], xs[1700:])
+            ]), points)
+
+
+def test_oracle_on_no_points_returns_empty_arrays(cfg_norm):
+    for model in (ag.Threshold(0.0), Mlp(nets.init_mlp((1, 6, 1), seed=3))):
+        profiles = oracle_value_profiles(model, np.empty(0), cfg_norm, 33)
+        assert profiles[1].shape == profiles[-1].shape == (0,)
+        assert oracle_attack_points_1d(model, np.empty(0), 1, cfg_norm, 33).shape == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Defender best response
 # ---------------------------------------------------------------------------

@@ -469,6 +469,30 @@ def test_malformed_input_file_exits_2_naming_the_field(tmp_path, capsys, sub, fi
     assert capsys.readouterr().err.startswith(f"config error: {field} has the wrong type")
 
 
+_MLP_FILE = {"kind": "mlp", "model": nets.mlp_to_dict(nets.init_mlp((2, 4, 2), seed=0))}
+_BAND_FLIP = {"kind": "region_flip", "base": {"kind": "threshold", "t": 0.5},
+              "region": {"kind": "band", "h": {"kind": "threshold", "t": 0.5},
+                         "delta": 0.1, "side": 1, "norm_kind": "l7"}}
+
+
+@pytest.mark.parametrize("sub, raw, message", [
+    ("alpha-grid", _MLP_FILE | {"model": _MLP_FILE["model"] | {"sizes": [2.9, 4, 2]}},
+     "models[].path has the wrong type or shape: sizes = [2.9, 4, 2]"),
+    ("alpha-grid", _MLP_FILE | {"model": _MLP_FILE["model"] | {"slope": True}},
+     "models[].path has the wrong type or shape: slope = True"),
+    ("evaluate", _MLP_FILE | {"model": _MLP_FILE["model"] | {"slope": "0.5"}},
+     "models[].path has the wrong type or shape: slope = '0.5'"),
+    ("evaluate", _BAND_FLIP, "norm_kind must be one of ('l2', 'linf'), got 'l7'"),
+])
+def test_model_file_with_a_bad_field_exits_2_naming_it(tmp_path, capsys, sub, raw, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    entry = {"name": "m", "path": str(path)}
+    cfg = _config_with(tmp_path, sub, ("models",), [entry, entry])
+    assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 @pytest.mark.parametrize("sub, n_test", [("train", -25), ("evaluate", 31)])
 def test_csv_split_outside_the_rows_exits_2(tmp_path, capsys, sub, n_test):
     # on 30 rows, -25 trained on the first 25 and tested on the last 5, and

@@ -297,6 +297,8 @@ def test_hypothesis_roundtrips(spec_1d):
 
 _THRESHOLD = {"kind": "threshold", "t": 0.0}
 _CELLS = {"kind": "interval1d", "breaks": [0.0], "signs": [-1, 1]}
+_MLP = {"kind": "mlp", "model": nets.mlp_to_dict(nets.init_mlp((2, 4, 2), seed=0))}
+_BAND = {"kind": "band", "h": _THRESHOLD, "delta": 0.5, "side": 1}
 
 
 @pytest.mark.parametrize("raw, key", [
@@ -320,6 +322,12 @@ _CELLS = {"kind": "interval1d", "breaks": [0.0], "signs": [-1, 1]}
       "region": {"kind": "band", "h": _THRESHOLD, "delta": 0.5, "side": 1.5}}, "side"),
     ({"kind": "region_flip", "base": _THRESHOLD,
       "region": {"kind": "interval", "lo": "0", "hi": 1.0}}, "lo"),
+    # an mlp file: int(2.9) is 2, float(True) is 1.0 (a linear net)
+    (_MLP | {"model": _MLP["model"] | {"sizes": [2.9, 4, 2]}}, "sizes"),
+    (_MLP | {"model": _MLP["model"] | {"slope": True}}, "slope"),
+    (_MLP | {"model": _MLP["model"] | {"slope": "0.5"}}, "slope"),
+    ({"kind": "region_flip", "base": _THRESHOLD, "region": _BAND | {"norm_kind": 2}},
+     "norm_kind"),
 ])
 def test_hypothesis_reader_rejects_a_value_of_the_wrong_type(raw, key):
     with pytest.raises(WrongType) as exc:
@@ -332,6 +340,26 @@ def test_hypothesis_reader_takes_whole_floats_as_integers():
     assert hypothesis_from_dict(_CELLS | {"signs": [-1.0, 1.0]}) == Interval1D((0.0,), (-1, 1))
     with pytest.raises(WrongType, match="weights"):
         mixture_from_dict({"weights": ["1"], "hypotheses": [_THRESHOLD]})
+
+
+def test_band_region_rejects_an_unknown_norm():
+    with pytest.raises(InvalidInput, match="norm_kind must be one of"):
+        ag.BandRegion(ag.Threshold(0.0), 0.3, 1, "l7")
+    for norm_kind in ("l7", "L2"):
+        with pytest.raises(InvalidInput, match=f"norm_kind must be one of .*got '{norm_kind}'"):
+            region_from_dict(_BAND | {"norm_kind": norm_kind})
+    for norm_kind in ("l2", "linf"):
+        band = region_from_dict(_BAND | {"norm_kind": norm_kind})
+        assert band.norm_kind == norm_kind
+        assert region_from_dict(region_to_dict(band)).norm_kind == norm_kind
+    assert region_from_dict(_BAND).norm_kind == "l2"
+
+
+def test_mlp_reader_takes_whole_float_sizes_and_an_integer_slope():
+    raw = _MLP["model"] | {"sizes": [2.0, 4, 2.0], "slope": 0}
+    model = nets.mlp_from_dict(raw)
+    assert model.slope == 0.0 and isinstance(model.slope, float)
+    assert [w.shape for w in model.weights] == [(2, 4), (4, 2)]
 
 
 def test_region_roundtrips_and_rejects_unknown_kinds():

@@ -17,7 +17,7 @@ from advgame.game import (
     best_response_defender,
     transported_measure,
 )
-from advgame.hypotheses import interval_form
+from advgame.hypotheses import as_mixture, interval_form
 from advgame.theorems import (
     DynamicsRound,
     admissible_alpha_interval,
@@ -272,6 +272,44 @@ def test_oracle_score_matches_closed_worst_case(spec_1d):
         brute = worst_case_score_oracle(h, spec_1d, cfg)
         assert brute == pytest.approx(closed, abs=5e-5)
         assert brute <= closed + 1e-9  # grid search never beats the true sup
+
+
+def _oracle_score_piece_by_piece(model, spec, cfg, inner_n, per_piece, extra_splits):
+    """worst_case_score_oracle with one oracle call per outer piece."""
+    from advgame.distributions import density
+    from advgame.game import oracle_value_profiles
+
+    mix = as_mixture(model)
+    breaks = sorted({b for h in mix.hypotheses for b in interval_form(h).breaks})
+    lo_b, hi_b = (float(v[0]) for v in spec.bounds())
+    splits = {lo_b, hi_b, *extra_splits}
+    for b in breaks:
+        splits.update((b, b - cfg.epsilon, b + cfg.epsilon))
+    edges = sorted(s for s in splits if lo_b <= s <= hi_b)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a < 1e-12:
+            continue
+        h = (b - a) / per_piece
+        xs = a + (np.arange(per_piece) + 0.5) * h
+        profiles = oracle_value_profiles(mix, xs, cfg, inner_n)
+        for label in (1, -1):
+            dens = np.asarray(density(spec, label, xs.reshape(-1, 1)))
+            total += spec.prior(label) * float((profiles[label] * dens).sum() * h)
+    return total
+
+
+@pytest.mark.parametrize("penalty", ["mass", "norm"])
+def test_one_oracle_pass_sums_as_piece_by_piece(spec_1d, penalty):
+    # one call over all pieces keeps every bit of one call per piece
+    cfg = GameConfig(penalty, 0.4, 0.5)
+    h1 = ag.Threshold(0.0)
+    flip = ag.MixedClassifier((h1, ag.RegionFlip(h1, ag.IntervalRegion(0.0, 0.3))), (0.8, 0.2))
+    extra = (-1.0, 0.3, 0.7, 1.0, 1e-13)
+    for model in (h1, flip):
+        for inner_n, per_piece, splits in ((1025, 256, extra), (65, 7, ())):
+            assert worst_case_score_oracle(model, spec_1d, cfg, inner_n, per_piece, splits) \
+                == _oracle_score_piece_by_piece(model, spec_1d, cfg, inner_n, per_piece, splits)
 
 
 # ---------------------------------------------------------------------------
