@@ -1,14 +1,16 @@
 """Config-driven experiment runner.
 
-Every subcommand reads a JSON config (strictly validated: unknown keys are
-rejected), writes a JSON report embedding the resolved config, its hash, and
-the seed, and exits 0 on pass, 1 on a failed assertion, 2 on a config error.
-Timestamps live in their own report field so re-runs are byte-identical
-everywhere else.
+Every subcommand reads a JSON config, writes a JSON report embedding the
+resolved config, its hash, and the seed, and exits 0 on pass, 1 on a failed
+assertion, 2 on a config error. Timestamps live in their own report field so
+re-runs are byte-identical everywhere else.
 
-Each config object is read through one table of {key: (converter, default)}
-by `_read`, so every field present is checked, also where the subcommand does
-not use it, and a value of the wrong type or shape names its field.
+Every object is read by `fields.read` through one table of
+{key: (converter, default)}: the config, its sections, the distribution and
+hypothesis in it, and each `models[].path` file with every object nested in
+it. Unknown keys are rejected in every one of them, every field present is
+checked, also where the subcommand does not use it, and every message names
+the field's dotted path.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import sys
 import time
 from dataclasses import MISSING, asdict
 
-from . import attacks, distributions, game, hypotheses, theorems, training
-from .distributions import _count, _exactly, _real
-from .errors import AdvGameError, ConfigError, WrongType
+from . import attacks, distributions, game, hypotheses, nets, theorems, training
+from .errors import AdvGameError, ConfigError
+from .fields import (IN_FILE, at_least, converted, count, exactly, listed, nullable, read, real,
+                     row, section)
 
 SUBCOMMANDS = (
     "risk", "score", "best-response", "no-nash", "rand-gap", "fig1",
@@ -45,177 +48,104 @@ def _load_json(path: str):
         return json.load(fh, parse_constant=_finite, parse_float=_finite)
 
 
-def _converted(field: str, value, convert):
-    """convert(value); a value of the wrong type or shape, or one without a key
-    that convert reads, is a ConfigError.
-
-    An AdvGameError that convert raises keeps its own message, except that a
-    WrongType from a spec or hypothesis reader is reported under field.
-    """
-    try:
-        return convert(value)
-    except WrongType as exc:
-        raise ConfigError(f"{field} has the wrong type or shape: {exc.key} = {exc.value!r}"
-                          ) from None
-    except AdvGameError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{field} needs the key {exc.args[0]!r}: {value!r}") from None
-    # StopIteration: a csv file without a header line; OverflowError: an int too big for a float
-    except (TypeError, ValueError, AttributeError, IndexError, OverflowError, StopIteration):
-        raise ConfigError(f"{field} has the wrong type or shape: {value!r}") from None
-
-
-def _read(raw, where: str, table: dict, defaults: dict | None = None) -> dict:
-    """The fields of the config object raw, each converted inside _converted.
-
-    table maps every allowed key to (converter, default). A key absent from raw
-    takes defaults[key], else the table default, and that value is converted
-    too. A table default of MISSING makes the key required; None leaves an
-    absent key out of the result, so a dataclass default (or None) applies.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where or 'config'} must be a JSON object, got {raw!r}")
-    unknown = set(raw) - set(table)
-    if unknown:
-        raise ConfigError(f"unknown fields in {where or 'config'}: {sorted(unknown)}")
-    fields = {}
-    for key, (convert, default) in table.items():
-        field = f"{where}.{key}" if where else key
-        value = raw[key] if key in raw else (defaults or {}).get(key, default)
-        if value is MISSING:
-            raise ConfigError(f"{field} is missing")
-        if key in raw or value is not None:
-            fields[key] = _converted(field, value, convert)
-    return fields
-
-
-def _section(where: str, table: dict):
-    """A converter that reads a nested config object."""
-    return lambda raw: _read(raw, where, table)
-
-
-def _nullable(convert):
-    return lambda value: None if value is None else convert(value)
-
-
-def _at_least_1(field: str):
-    """A converter that takes a count and rejects one below 1."""
-    def check(value):
-        n = _count(value)
-        if n < 1:
-            raise ConfigError(f"{field} must be >= 1, got {n}")
-        return n
-    return check
-
-
-def _float_list(value) -> list[float]:
-    return [_real(v) for v in value]
-
-
-def _box(box):
+def _box(box, path):
     if box is None:
         return None
     try:
-        lo, hi = (_real(v) for v in box)
+        lo, hi = (real(v) for v in box)
         ok = isinstance(box, list) and lo < hi
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise ConfigError(f"attack.box must be null or [lo, hi] with lo < hi, got {box}")
+        raise ConfigError(f"{path} must be null or [lo, hi] with lo < hi, got {box}")
     return lo, hi
 
 
-def _mode(mode):
+def _mode(mode, path):
     if mode not in ("natural", "adversarial"):
-        raise ConfigError("train.mode must be 'natural' or 'adversarial'")
+        raise ConfigError(f"{path} must be 'natural' or 'adversarial'")
     return mode
 
 
-def _parse_game(raw) -> game.GameConfig:
-    fields = _read(raw, "game", _GAME)
+def _parse_game(raw, path) -> game.GameConfig:
+    fields = read(raw, path, _GAME)
     fields |= fields.pop("eval", {})
     return game.GameConfig(**{_GAME_NAMES.get(k, k): v for k, v in fields.items()})
 
 
-def _parse_attack(raw, where: str, config_type, table: dict):
-    """An attack config: each field from raw, else from the preset that raw
-    names, else the dataclass default."""
-    defaults = {}
-    if isinstance(raw, dict) and "preset" in raw:
-        raw = dict(raw)
-        name = raw.pop("preset")
-        base = _converted(f"{where}.preset", name, attacks.ATTACK_PRESETS.get)
-        if not isinstance(base, config_type):
-            raise ConfigError(f"unknown {where} preset {name!r}")
-        defaults = asdict(base)
-    return config_type(**_read(raw, where, table, defaults))
+def _attack(config_type, table: dict):
+    """A converter for an attack config: each field from raw, else from the
+    preset that raw names, else the dataclass default."""
+    def parse(raw, path):
+        defaults = {}
+        if isinstance(raw, dict) and "preset" in raw:
+            raw = dict(raw)
+            name = raw.pop("preset")
+            base = converted(f"{path}.preset", name, lambda v, _: attacks.ATTACK_PRESETS.get(v))
+            if not isinstance(base, config_type):
+                raise ConfigError(f"unknown {path} preset {name!r}")
+            defaults = asdict(base)
+        return config_type(**read(raw, path, table, defaults))
+    return parse
 
 
-def _parse_train(raw, preset: str) -> tuple[str, training.TrainConfig]:
+def _parse_train(raw, path, preset: str) -> tuple[str, training.TrainConfig]:
     """(mode, TrainConfig): each field from raw, else from the --preset schedule."""
     base = training.train_paper_preset() if preset == "paper" else training.train_desk_preset()
-    fields = _read(raw, "train", _TRAIN, asdict(base))
+    fields = read(raw, path, _TRAIN, asdict(base))
     return fields.pop("mode"), training.TrainConfig(**fields)
 
 
-def _model_entries(value) -> list[dict]:
-    return [_read(entry, "models[]", _MODEL) for entry in _exactly(list)(value)]
-
-
 # A table default of None leaves the field to its dataclass or to the handler.
-_EVAL = {"method": (_exactly(str), None), "n": (_count, None), "seed": (_count, None)}
-_GAME = {"penalty": (_exactly(str), MISSING), "lambda": (_real, MISSING),
-         "epsilon": (_real, MISSING), "norm_kind": (_exactly(str), None),
-         "eval": (_section("game.eval", _EVAL), None)}
+_SEED = at_least(0)
+_EVAL = {"method": (exactly(str), None), "n": (count, None), "seed": (_SEED, None)}
+_GAME = {"penalty": (exactly(str), MISSING), "lambda": (real, MISSING),
+         "epsilon": (real, MISSING), "norm_kind": (exactly(str), None),
+         "eval": (section(_EVAL), None)}
 _GAME_NAMES = {"lambda": "lam", "method": "eval_method", "n": "mc_n", "seed": "mc_seed"}
-_PGD = {"epsilon_inf": (_real, MISSING), "step": (_real, MISSING), "iters": (_count, MISSING),
-        "restarts": (_count, None), "random_init": (_exactly(bool), None), "seed": (_count, None)}
-_CW = {"lr": (_real, None), "binary_search_steps": (_count, None), "initial_const": (_real, None),
-       "iters": (_count, None), "abort_early": (_exactly(bool), None)}
-_TRAIN = {"mode": (_mode, "natural"), "epochs": (_count, MISSING), "batch_size": (_count, None),
-          "lr_stages": (lambda v: tuple((_count(e), _real(lr)) for e, lr in v), None),
-          "momentum": (_real, None), "weight_decay": (_real, None), "seed": (_count, None),
-          "sizes": (lambda v: tuple(_count(s) for s in v), None)}
-_ATTACK = {
-    "pgd": (lambda raw: _parse_attack(raw, "attack.pgd", attacks.PgdConfig, _PGD), None),
-    "cw": (lambda raw: _parse_attack(raw, "attack.cw", attacks.CwConfig, _CW), None),
-    "box": (_box, [0.0, 1.0]),
-    "reject_thresholds": (_float_list, attacks.CW_REJECT_THRESHOLDS),
-    "eval_pgd": (lambda raw: _parse_attack(raw, "attack.eval_pgd", attacks.PgdConfig, _PGD),
-                 None),
-}
+_PGD = {"epsilon_inf": (real, MISSING), "step": (real, MISSING), "iters": (count, MISSING),
+        "restarts": (count, None), "random_init": (exactly(bool), None), "seed": (_SEED, None)}
+_CW = {"lr": (real, None), "binary_search_steps": (count, None), "initial_const": (real, None),
+       "iters": (count, None), "abort_early": (exactly(bool), None)}
+_TRAIN = {"mode": (_mode, "natural"), "epochs": (count, MISSING), "batch_size": (count, None),
+          "lr_stages": (listed(row(count, real)), None), "momentum": (real, None),
+          "weight_decay": (real, None), "seed": (_SEED, None), "sizes": (nets.LAYER_SIZES, None)}
+_ATTACK = {"pgd": (_attack(attacks.PgdConfig, _PGD), None),
+           "cw": (_attack(attacks.CwConfig, _CW), None),
+           "box": (_box, [0.0, 1.0]),
+           "reject_thresholds": (listed(real, list), attacks.CW_REJECT_THRESHOLDS),
+           "eval_pgd": (_attack(attacks.PgdConfig, _PGD), None)}
 # data.n_test left out means 0 rows for a csv and 1000 draws from a distribution
-_DATA = {"n_train": (_at_least_1("data.n_train"), 2000), "n_test": (_count, None),
-         "seed": (_count, 0), "csv": (_nullable(_exactly(str)), None)}
-_ORACLE = {"inner": (_count, 1025), "per_piece": (_count, 256), "enabled": (_exactly(bool), True)}
-_BAT = {"n": (_count, 2), "alpha_bat": (_real, 0.2), "first_candidates": (_count, 1)}
-_MODEL = {"name": (_exactly(str), MISSING), "path": (_exactly(str), MISSING)}
+_DATA = {"n_train": (at_least(1), 2000), "n_test": (count, None), "seed": (_SEED, 0),
+         "csv": (nullable(exactly(str)), None)}
+_ORACLE = {"inner": (count, 1025), "per_piece": (count, 256), "enabled": (exactly(bool), True)}
+_BAT = {"n": (count, 2), "alpha_bat": (real, 0.2), "first_candidates": (count, 1)}
+_MODEL = {"name": (exactly(str), MISSING), "path": (exactly(str), MISSING)}
 # main adds "train", whose defaults come from the --preset schedule
 _TOP = {
     "distribution": (distributions.spec_from_dict, None),
     "game": (_parse_game, None),
     "hypothesis": (hypotheses.hypothesis_from_dict, None),
-    "rounds": (_count, 5),
-    "improvement_threshold": (_real, theorems.IMPROVEMENT_THRESHOLD),
-    "alpha_thm": (_real, None),
-    "delta": (_nullable(_real), None),
-    "oracle": (_section("oracle", _ORACLE), {}),
-    "resolution": (_count, 2001),
-    "data": (_section("data", _DATA), {}),
-    "attack": (_section("attack", _ATTACK), {}),
-    "bat": (_section("bat", _BAT), {}),
-    "models": (_model_entries, []),
-    "candidates": (_float_list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-    "out_dir": (_exactly(str), "out"),
-    "seed": (_count, 0),
+    "rounds": (count, 5),
+    "improvement_threshold": (real, theorems.IMPROVEMENT_THRESHOLD),
+    "alpha_thm": (real, None),
+    "delta": (nullable(real), None),
+    "oracle": (section(_ORACLE), {}),
+    "resolution": (count, 2001),
+    "data": (section(_DATA), {}),
+    "attack": (section(_ATTACK), {}),
+    "bat": (section(_BAT), {}),
+    "models": (listed(section(_MODEL), list), []),
+    "candidates": (listed(real, list), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+    "out_dir": (exactly(str), "out"),
+    "seed": (_SEED, 0),
 }
 
 
 def _load_data(cfg: dict) -> tuple:
     data = cfg["data"]
     if data.get("csv"):
-        full = _converted("data.csv", data["csv"], distributions.measure_from_csv)
+        full = converted("data.csv", data["csv"], lambda p, _: distributions.measure_from_csv(p))
         n_test = data.get("n_test", 0)
         if not 0 <= n_test <= len(full):
             raise ConfigError(f"data.n_test must be in [0, {len(full)}], the csv's row "
@@ -387,12 +317,12 @@ def _run_bat(cfg, out_dir):
 
 def _load_model(entry: dict):
     """The hypothesis or mixture in the file at entry's path."""
-    def parse(path):
+    def parse(path, field):
         raw = _load_json(path)
         if "weights" in raw and "hypotheses" in raw:
-            return hypotheses.mixture_from_dict(raw)
-        return hypotheses.hypothesis_from_dict(raw)
-    return _converted("models[].path", entry["path"], parse)
+            return hypotheses.mixture_from_dict(raw, field + IN_FILE)
+        return hypotheses.hypothesis_from_dict(raw, field + IN_FILE)
+    return converted("models[].path", entry["path"], parse)
 
 
 def _run_evaluate(cfg, out_dir):
@@ -472,9 +402,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_json(args.config)
-        parsed = _read(cfg, "", _TOP | {"train": (lambda raw: _parse_train(raw, args.preset), {})})
+        parsed = read(cfg, "", _TOP | {
+            "train": (lambda raw, path: _parse_train(raw, path, args.preset), {})})
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = _SEED(args.seed, "--seed")
             cfg.setdefault("data", {})["seed"] = parsed["data"]["seed"] = args.seed
         cfg.setdefault("seed", 0)
         out_dir = args.out or parsed["out_dir"]

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
 from scipy.optimize import brentq
 
-from .errors import AdvGameError, DimensionMismatch, InvalidInput, UnsupportedDimension, WrongType
+from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension
+from .fields import count, listed, read, real, section
 from . import intervals as iv
 
 WEIGHT_TOL = 1e-12
@@ -318,53 +319,6 @@ def _island_roots(spec: DistributionSpec, f, xs: np.ndarray, sign: np.ndarray) -
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _real(value) -> float:
-    """A JSON number as a float; a bool or a string is rejected (float(True)
-    is 1.0 and float("0.5") is 0.5)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected a number")
-    return float(value)
-
-
-def _count(value) -> int:
-    """A JSON number without a fractional part, as an int (int(2.9) is 2)."""
-    if not _real(value).is_integer():
-        raise ValueError("expected a whole number")
-    return int(value)
-
-
-def _exactly(kind):
-    """A converter that passes a value of this JSON type through and rejects
-    any other (bool("false") is True, str(5) is "5")."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}")
-        return value
-    return check
-
-
-def _reals(values) -> tuple[float, ...]:
-    return tuple(_real(v) for v in values)
-
-
-_REQUIRED = object()
-
-
-def _field(d: dict, key: str, convert, default=_REQUIRED):
-    """convert(d[key]), or convert(default) where key is absent and has one.
-
-    A value of the wrong type or shape raises WrongType naming key; a package
-    error keeps its message and an absent required key raises KeyError.
-    """
-    value = d[key] if default is _REQUIRED else d.get(key, default)
-    try:
-        return convert(value)
-    except AdvGameError:
-        raise
-    except (TypeError, ValueError):
-        raise WrongType(key, value) from None
-
-
 def spec_to_dict(spec: DistributionSpec) -> dict:
     def comps(cs):
         return [{"weight": c.weight, "mean": list(c.mean), "var": list(c.var)} for c in cs]
@@ -377,21 +331,14 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
     }
 
 
-def spec_from_dict(d: dict) -> DistributionSpec:
-    def comps(raw):
-        return tuple(GaussianComponent(_real(c["weight"]), _reals(c["mean"]), _reals(c["var"]))
-                     for c in raw)
+_COMPONENTS = listed(section({"weight": (real, MISSING), "mean": (listed(real), MISSING),
+                               "var": (listed(real), MISSING)}, GaussianComponent))
+_SPEC = {"prior_pos": (real, MISSING), "dimension": (count, MISSING),
+         "components_pos": (_COMPONENTS, MISSING), "components_neg": (_COMPONENTS, MISSING)}
 
-    known = {"prior_pos", "dimension", "components_pos", "components_neg"}
-    unknown = set(d) - known
-    if unknown:
-        raise InvalidInput(f"unknown distribution fields: {sorted(unknown)}")
-    return DistributionSpec(
-        prior_pos=_field(d, "prior_pos", _real),
-        dimension=_field(d, "dimension", _count),
-        components_pos=_field(d, "components_pos", comps),
-        components_neg=_field(d, "components_neg", comps),
-    )
+
+def spec_from_dict(d: dict, where: str = "distribution") -> DistributionSpec:
+    return DistributionSpec(**read(d, where, _SPEC))
 
 
 def measure_from_csv(path) -> EmpiricalMeasure:

@@ -10,7 +10,7 @@ piecewise-constant interval form, which is what the exact game layer works on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -19,17 +19,13 @@ from . import nets
 from .distributions import (
     DistributionSpec,
     _as_points,
-    _count,
-    _exactly,
-    _field,
-    _real,
-    _reals,
     bayes_roots,
     density,
     spec_from_dict,
     spec_to_dict,
 )
 from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension, UnsupportedKind
+from .fields import count, exactly, listed, read, read_kind, real, row
 
 WEIGHT_TOL = 1e-12
 BALL_GRID_N = 65  # grid points per axis of the ball that distance_to_sign searches
@@ -534,30 +530,8 @@ def hypothesis_to_dict(h: Hypothesis) -> dict:
     raise UnsupportedKind(f"cannot serialize {type(h).__name__}")
 
 
-def hypothesis_from_dict(d: dict) -> Hypothesis:
-    kind = d.get("kind")
-    if kind == "threshold":
-        return Threshold(_field(d, "t", _real), _field(d, "orientation", _count, 1))
-    if kind == "linear":
-        return Linear(_field(d, "w", _reals), _field(d, "b", _real))
-    if kind == "bayes":
-        return Bayes(spec_from_dict(d["spec"]))
-    if kind == "mlp":
-        return Mlp(nets.mlp_from_dict(d["model"]))
-    if kind == "region_flip":
-        return RegionFlip(hypothesis_from_dict(d["base"]), region_from_dict(d["region"]))
-    if kind == "interval1d":
-        return Interval1D(
-            _field(d, "breaks", _reals),
-            _field(d, "signs", lambda v: tuple(_count(s) for s in v)),
-            _field(d, "point_labels", lambda v: tuple((_real(l), _count(s)) for l, s in v), []),
-        )
-    if kind == "binned2d":
-        return Binned2D(
-            _field(d, "edges", lambda v: tuple(_reals(e) for e in v)),
-            _field(d, "signs", lambda v: tuple(tuple(_count(s) for s in row) for row in v)),
-        )
-    raise UnsupportedKind(f"unknown hypothesis kind {kind!r}")
+def hypothesis_from_dict(d: dict, where: str = "hypothesis") -> Hypothesis:
+    return read_kind(d, where, _HYPOTHESES, "hypothesis")
 
 
 def region_to_dict(r: Region) -> dict:
@@ -574,14 +548,8 @@ def region_to_dict(r: Region) -> dict:
     raise UnsupportedKind(f"cannot serialize region {type(r).__name__}")
 
 
-def region_from_dict(d: dict) -> Region:
-    kind = d.get("kind")
-    if kind == "interval":
-        return IntervalRegion(_field(d, "lo", _real), _field(d, "hi", _real))
-    if kind == "band":
-        return BandRegion(hypothesis_from_dict(d["h"]), _field(d, "delta", _real),
-                          _field(d, "side", _count), _field(d, "norm_kind", _exactly(str), "l2"))
-    raise UnsupportedKind(f"unknown region kind {kind!r}")
+def region_from_dict(d: dict, where: str = "region") -> Region:
+    return read_kind(d, where, _REGIONS, "region")
 
 
 def mixture_to_dict(m: MixedClassifier) -> dict:
@@ -591,8 +559,28 @@ def mixture_to_dict(m: MixedClassifier) -> dict:
     }
 
 
-def mixture_from_dict(d: dict) -> MixedClassifier:
-    return MixedClassifier(
-        tuple(hypothesis_from_dict(h) for h in d["hypotheses"]),
-        _field(d, "weights", _reals),
-    )
+def mixture_from_dict(d: dict, where: str = "mixture") -> MixedClassifier:
+    return MixedClassifier(**read(d, where, _MIXTURE))
+
+
+# Each kind's (constructor, table); the readers above look them up when called.
+_HYPOTHESES = {
+    "threshold": (Threshold, {"t": (real, MISSING), "orientation": (count, None)}),
+    "linear": (Linear, {"w": (listed(real), MISSING), "b": (real, MISSING)}),
+    "bayes": (Bayes, {"spec": (spec_from_dict, MISSING)}),
+    "mlp": (lambda model: Mlp(model), {"model": (nets.mlp_from_dict, MISSING)}),
+    "region_flip": (RegionFlip, {"base": (hypothesis_from_dict, MISSING),
+                                 "region": (region_from_dict, MISSING)}),
+    "interval1d": (Interval1D, {"breaks": (listed(real), MISSING),
+                                "signs": (listed(count), MISSING),
+                                "point_labels": (listed(row(real, count)), None)}),
+    "binned2d": (Binned2D, {"edges": (listed(listed(real)), MISSING),
+                            "signs": (listed(listed(count)), MISSING)}),
+}
+_REGIONS = {
+    "interval": (IntervalRegion, {"lo": (real, MISSING), "hi": (real, MISSING)}),
+    "band": (BandRegion, {"h": (hypothesis_from_dict, MISSING), "delta": (real, MISSING),
+                          "side": (count, MISSING), "norm_kind": (exactly(str), None)}),
+}
+_MIXTURE = {"hypotheses": (listed(hypothesis_from_dict), MISSING),
+            "weights": (listed(real), MISSING)}

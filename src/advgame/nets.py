@@ -15,15 +15,16 @@ one batch per net; its outputs and gradients then carry the leading K axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .distributions import _count, _field, _real
+from .fields import at_least, listed, read, real
 from .errors import DimensionMismatch, InvalidInput
 
 LEAKY_SLOPE = 0.1
+LAYER_SIZES = listed(at_least(1))  # reads the widths of a net's layers, input and output included
 
 
 @dataclass
@@ -187,11 +188,16 @@ def mlp_to_dict(model: MlpModel) -> dict:
     }
 
 
-def mlp_from_dict(d: dict) -> MlpModel:
-    sizes = _field(d, "sizes", lambda v: [_count(s) for s in v])
+_MLP = {"sizes": (LAYER_SIZES, MISSING), "slope": (real, LEAKY_SLOPE),
+        "weights": (listed(listed(real)), MISSING), "biases": (listed(listed(real)), MISSING)}
+
+
+def mlp_from_dict(d: dict, where: str = "model") -> MlpModel:
+    fields = read(d, where, _MLP)
+    sizes = fields["sizes"]
     weights = [
         np.array(w, dtype=float).reshape(fan_in, fan_out)
-        for w, fan_in, fan_out in zip(d["weights"], sizes[:-1], sizes[1:])
+        for w, fan_in, fan_out in zip(fields["weights"], sizes[:-1], sizes[1:])
     ]
-    biases = [np.array(b, dtype=float) for b in d["biases"]]
-    return MlpModel(weights, biases, _field(d, "slope", _real, LEAKY_SLOPE))
+    biases = [np.array(b, dtype=float) for b in fields["biases"]]
+    return MlpModel(weights, biases, fields["slope"])

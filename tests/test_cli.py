@@ -477,12 +477,17 @@ _BAND_FLIP = {"kind": "region_flip", "base": {"kind": "threshold", "t": 0.5},
 
 @pytest.mark.parametrize("sub, raw, message", [
     ("alpha-grid", _MLP_FILE | {"model": _MLP_FILE["model"] | {"sizes": [2.9, 4, 2]}},
-     "models[].path has the wrong type or shape: sizes = [2.9, 4, 2]"),
+     "models[].path has the wrong type or shape: model.sizes = [2.9, 4, 2]"),
     ("alpha-grid", _MLP_FILE | {"model": _MLP_FILE["model"] | {"slope": True}},
-     "models[].path has the wrong type or shape: slope = True"),
+     "models[].path has the wrong type or shape: model.slope = True"),
     ("evaluate", _MLP_FILE | {"model": _MLP_FILE["model"] | {"slope": "0.5"}},
-     "models[].path has the wrong type or shape: slope = '0.5'"),
+     "models[].path has the wrong type or shape: model.slope = '0.5'"),
     ("evaluate", _BAND_FLIP, "norm_kind must be one of ('l2', 'linf'), got 'l7'"),
+    # np.array(["0.5", True], dtype=float) is [0.5, 1.0]
+    ("evaluate", _MLP_FILE | {"model": _MLP_FILE["model"] | {"biases": [["0.5"] * 4, [0.0] * 2]}},
+     "models[].path has the wrong type or shape: model.biases = [['0.5', "),
+    ("alpha-grid", _MLP_FILE | {"model": _MLP_FILE["model"] | {"weights": [[True] * 8, [0.0] * 8]}},
+     "models[].path has the wrong type or shape: model.weights = [[True, "),
 ])
 def test_model_file_with_a_bad_field_exits_2_naming_it(tmp_path, capsys, sub, raw, message):
     path = tmp_path / "model.json"
@@ -491,6 +496,78 @@ def test_model_file_with_a_bad_field_exits_2_naming_it(tmp_path, capsys, sub, ra
     cfg = _config_with(tmp_path, sub, ("models",), [entry, entry])
     assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+_THRESHOLD = {"kind": "threshold", "t": 0.0}
+
+
+@pytest.mark.parametrize("sub, keys, value, where, key", [
+    ("score", ("hypothesis",), {"kind": "threshold", "t": 0.3, "orientaton": -1},
+     "hypothesis", "orientaton"),
+    ("score", ("distribution", "components_pos"),
+     [{"weight": 1.0, "mean": [1.0], "var": [1.0], "skew": 0.0}],
+     "distribution.components_pos[]", "skew"),
+    ("score", ("hypothesis",), {"kind": "region_flip", "base": _THRESHOLD,
+                                "region": {"kind": "interval", "lo": 0.5, "hi": 1.0, "open": 1}},
+     "hypothesis.region", "open"),
+    # model files: a mixture, an mlp hypothesis and the net inside it
+    ("evaluate", "file", {"weights": [1.0], "hypotheses": [_MLP_FILE], "temperature": 1.0},
+     "models[].path", "temperature"),
+    ("alpha-grid", "file", _MLP_FILE | {"dropout": 0.5}, "models[].path", "dropout"),
+    ("alpha-grid", "file", _MLP_FILE | {"model": _MLP_FILE["model"] | {"dropout": 0.5}},
+     "models[].path: model", "dropout"),
+    ("evaluate", "file", _MLP_FILE | {"model": _MLP_FILE["model"] | {"slop": 0.5}},
+     "models[].path: model", "slop"),
+])
+def test_unknown_key_in_a_nested_object_or_model_file_exits_2(tmp_path, capsys, sub, keys, value,
+                                                              where, key):
+    # each of these used to run with the key dropped without a word
+    if keys == "file":
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(value))
+        keys, value = ("models",), [{"name": "m", "path": str(path)}] * 2
+    cfg = _config_with(tmp_path, sub, keys, value)
+    assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown fields in {where}: ['{key}']\n"
+
+
+_PGD = {"epsilon_inf": 0.05, "step": 0.02, "iters": 5}
+
+
+@pytest.mark.parametrize("sub, keys, value, field, seed", [
+    ("score", ("seed",), -1, "seed", -1),
+    ("score", ("game", "eval"), {"method": "monte_carlo", "seed": -1}, "game.eval.seed", -1),
+    ("train", ("data", "seed"), -1, "data.seed", -1),
+    ("train", ("train", "seed"), -1, "train.seed", -1),
+    ("train", ("attack", "pgd"), {"preset": "pgd_train_paper", "seed": -2}, "attack.pgd.seed", -2),
+    ("train", ("attack", "eval_pgd"), _PGD | {"seed": -1}, "attack.eval_pgd.seed", -1),
+    ("train", ("train", "epochs"), 1, "--seed", -1),
+])
+def test_negative_seed_exits_2_naming_it(tmp_path, capsys, sub, keys, value, field, seed):
+    # numpy's default_rng(-1) raises "expected non-negative integer"
+    path = _config_with(tmp_path, sub, keys, value)
+    flag = ["--seed", str(seed)] if field == "--seed" else []
+    assert cli.main([sub, "--config", path, "--out", str(tmp_path / "o")] + flag) == 2
+    assert capsys.readouterr().err == f"config error: {field} must be >= 0, got {seed}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sizes", [[2, 0, 2], [2, -1, 2]])
+def test_layer_width_below_1_exits_2_naming_sizes(tmp_path, capsys, sizes):
+    # a width of 0 divided by zero in the init, and one of -1 failed in numpy
+    path = _config_with(tmp_path, "train", ("train", "sizes"), sizes)
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: train.sizes[] must be >= 1, got {sizes[1]}\n"
+    # an mlp file of the same sizes: two empty weight arrays and one empty bias
+    model = tmp_path / "model.json"
+    width = max(sizes[1], 0)
+    model.write_text(json.dumps({"kind": "mlp", "model": {
+        "sizes": sizes, "weights": [[0.0] * 2 * width] * 2, "biases": [[0.0] * width, [0.0] * 2]}}))
+    entry = {"name": "m", "path": str(model)}
+    path = _config_with(tmp_path, "evaluate", ("models",), [entry])
+    assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: models[].path: model.sizes[] must be >= 1, "
+                                       f"got {sizes[1]}\n")
 
 
 @pytest.mark.parametrize("sub, n_test", [("train", -25), ("evaluate", 31)])
@@ -518,7 +595,7 @@ def test_missing_required_field_is_named(tmp_path, capsys):
     entry = {"name": "m", "path": str(model)}
     path = _config_with(tmp_path, "evaluate", ("models",), [entry, entry])
     assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: models[].path needs the key 't'" in capsys.readouterr().err
+    assert "config error: models[].path: t is missing" in capsys.readouterr().err
 
 
 def test_null_is_accepted_for_delta_box_and_csv(tmp_path):
@@ -641,8 +718,8 @@ def test_spec_and_hypothesis_value_of_the_wrong_type_exits_2(tmp_path, capsys, k
     # dimension truncated to 1, a prior read from a string
     path = _config_with(tmp_path, "score", keys, value)
     assert cli.main(["score", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == (f"config error: {keys[0]} has the wrong type or shape: "
-                                       f"{keys[1]} = {value!r}\n")
+    assert capsys.readouterr().err == (f"config error: {'.'.join(keys)} has the wrong type or "
+                                       f"shape: {value!r}\n")
 
 
 def test_model_file_with_adjacent_cells_of_equal_sign_exits_2(tmp_path, capsys):

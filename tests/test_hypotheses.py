@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import advgame as ag
-from advgame import nets
-from advgame.errors import InvalidInput, UnsupportedKind, WrongType
+from advgame import distributions, nets
+from advgame.errors import ConfigError, InvalidInput, UnsupportedKind
 from advgame.hypotheses import (
     Binned2D,
     Interval1D,
@@ -279,20 +281,32 @@ def test_mixture_distribution_sums_to_one(q, x):
 
 def test_hypothesis_roundtrips(spec_1d):
     net = nets.init_mlp((2, 8, 2), seed=1)
+    band = ag.BandRegion(ag.Threshold(0.2), 0.3, -1, "linf")
     cases = [
         ag.Threshold(0.3, -1),
         ag.Linear((1.0, -2.0), 0.5),
         ag.bayes_optimal(spec_1d),
         ag.Mlp(net),
         ag.RegionFlip(ag.Threshold(0.0), ag.IntervalRegion(0.0, 1.0)),
+        ag.RegionFlip(ag.Threshold(0.0), band),
         Interval1D((0.0, 1.0), (-1, 1, -1), ((0.0, 1),)),
         Binned2D(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)), ((1, -1), (-1, 1))),
     ]
     for h in cases:
-        back = hypothesis_from_dict(hypothesis_to_dict(h))
+        raw = json.loads(json.dumps(hypothesis_to_dict(h)))
+        back = hypothesis_from_dict(raw)
+        assert hypothesis_to_dict(back) == raw
         xs = np.linspace(-2, 2, 23)
         pts = xs.reshape(-1, 1) if back.dimension == 1 else np.column_stack([xs, xs])
         assert np.array_equal(back.predicts(pts), h.predicts(pts))
+    # every other writer's output reads back equal too, as it does from a file
+    mixture = ag.MixedClassifier((ag.Threshold(0.0), cases[-2]), (0.25, 0.75))
+    for write, read, value in [(mixture_to_dict, mixture_from_dict, mixture),
+                               (region_to_dict, region_from_dict, band),
+                               (region_to_dict, region_from_dict, ag.IntervalRegion(-1.0, 0.5)),
+                               (distributions.spec_to_dict, distributions.spec_from_dict, spec_1d)]:
+        raw = json.loads(json.dumps(write(value)))
+        assert write(read(raw)) == raw
 
 
 _THRESHOLD = {"kind": "threshold", "t": 0.0}
@@ -330,15 +344,18 @@ _BAND = {"kind": "band", "h": _THRESHOLD, "delta": 0.5, "side": 1}
      "norm_kind"),
 ])
 def test_hypothesis_reader_rejects_a_value_of_the_wrong_type(raw, key):
-    with pytest.raises(WrongType) as exc:
+    # the nested fields sit in the flip's region or in the mlp's net
+    path = {"side": "region.", "lo": "region.", "norm_kind": "region.",
+            "sizes": "model.", "slope": "model."}.get(key, "") + key
+    with pytest.raises(ConfigError, match=rf"^hypothesis\.{path} has the wrong type or shape: "):
         hypothesis_from_dict(raw)
-    assert exc.value.key == key
 
 
 def test_hypothesis_reader_takes_whole_floats_as_integers():
     assert hypothesis_from_dict(_THRESHOLD | {"orientation": -1.0}) == ag.Threshold(0.0, -1)
     assert hypothesis_from_dict(_CELLS | {"signs": [-1.0, 1.0]}) == Interval1D((0.0,), (-1, 1))
-    with pytest.raises(WrongType, match="weights"):
+    with pytest.raises(ConfigError,
+                       match=r"^mixture\.weights has the wrong type or shape: \['1'\]"):
         mixture_from_dict({"weights": ["1"], "hypotheses": [_THRESHOLD]})
 
 
