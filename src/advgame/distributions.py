@@ -82,6 +82,12 @@ class DistributionSpec:
     def _bayes_roots(self) -> tuple[float, ...]:
         return tuple(_solve_bayes_roots(self))
 
+    @cached_property
+    def mass_terms(self) -> dict[int, tuple[tuple[float, float, float], ...]]:
+        """label -> (weight, mean, sd) of each component on the line, in order."""
+        return {y: tuple((c.weight, c.mean[0], math.sqrt(c.var[0])) for c in self.components(y))
+                for y in (1, -1)}
+
 
 def two_gaussians_1d(mean_neg: float = -1.0, mean_pos: float = 1.0,
                      var: float = 1.0, prior_pos: float = 0.5) -> DistributionSpec:
@@ -215,9 +221,8 @@ def interval_mass(spec: DistributionSpec, label: int, ivs: list[iv.Iv]) -> float
     _check_1d(spec)
     total = 0.0
     for lo, hi in iv.normalize(list(ivs)):
-        for c in spec.components(label):
-            m, s = c.mean[0], math.sqrt(c.var[0])
-            total += c.weight * (ndtr((hi - m) / s) - ndtr((lo - m) / s))
+        for w, m, s in spec.mass_terms[label]:
+            total += w * (ndtr((hi - m) / s) - ndtr((lo - m) / s))
     return float(total)
 
 

@@ -113,7 +113,7 @@ def exactly(kind):
     any other (bool("false") is True, str(5) is "5")."""
     def check(value, path: str = ""):
         if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}")
+            raise TypeError(f"expected {kind}")
         return value
     return check
 
@@ -123,8 +123,10 @@ def nullable(convert):
 
 
 def listed(convert, into=tuple):
-    """A converter for a JSON list, item by item; each item is at path + "[]"."""
-    return lambda value, path="": into(convert(v, f"{path}[]") for v in value)
+    """A converter for a JSON list (or a tuple from Python), item by item; each
+    item is at path + "[]". Anything else, such as {} or a string, is rejected."""
+    return lambda value, path="": into(convert(v, f"{path}[]")
+                                       for v in exactly((list, tuple))(value))
 
 
 def row(*converts):

@@ -20,11 +20,13 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import intervals as iv
 from .distributions import (
@@ -357,24 +359,47 @@ class _ErrorProfile:
     spec: DistributionSpec
     mix: MixedClassifier
     breaks: list[float]
-    errs: dict[int, np.ndarray]  # label -> per-cell expected error
+    errs: dict[int, np.ndarray]  # label -> error on each cell, then at each break
+    tabled: bool  # every component is its own interval form: errs holds its error everywhere
 
     def errors(self, tr: Transported1D) -> dict[int, float]:
-        """E under phi_y # mu_y of the model's expected error, for y = +1 and -1."""
+        """E under phi_y # mu_y of the model's expected error, for y = +1 and -1.
+
+        One walk of the sorted alive pieces against the shifted cells; each
+        cell's mass is summed as interval_mass sums it, overlap by overlap and
+        component by component. An atom reads its error from the tables when
+        the model is tabled, else from the model at its location.
+        """
+        n = len(self.breaks)
         edges = [-math.inf] + self.breaks + [math.inf]
         out = {}
         for label in (1, -1):
-            s, alive = tr.shift(label), tr.alive(label)
-            total = 0.0
-            for e, lo, hi in zip(self.errs[label], edges[:-1], edges[1:]):
+            s, alive, terms = tr.shift(label), tr.alive(label), tr.spec.mass_terms[label]
+            errs, total, j = self.errs[label], 0.0, 0
+            for e, lo, hi in zip(errs, edges[:-1], edges[1:]):
+                lo, hi = lo - s, hi - s
+                while j < len(alive) and alive[j][1] <= lo:
+                    j += 1  # the cells only move right, so a piece left behind stays behind
                 if e > 0.0:
-                    total += e * interval_mass(tr.spec, label,
-                                               iv.intersect(alive, [(lo - s, hi - s)]))
+                    mass = 0.0
+                    for alo, ahi in alive[j:]:
+                        if alo >= hi:
+                            break
+                        a, b = max(alo, lo), min(ahi, hi)
+                        if b > a:
+                            for w, m, sd in terms:
+                                mass += w * (ndtr((b - m) / sd) - ndtr((a - m) / sd))
+                    total += e * float(mass)
             atoms = tr.atoms(label)
-            if atoms:
+            if atoms and self.tabled:
+                for loc, m in atoms:
+                    i = bisect.bisect_left(self.breaks, loc)
+                    total += m * float(errs[n + 1 + i] if i < n and self.breaks[i] == loc
+                                       else errs[i])
+            elif atoms:
                 locs, masses = zip(*atoms)
-                errs = self.mix.expected_errors(np.reshape(locs, (-1, 1)), label)
-                for m, e in zip(masses, errs):
+                pointwise = self.mix.expected_errors(np.reshape(locs, (-1, 1)), label)
+                for m, e in zip(masses, pointwise):
                     total += m * float(e)
             out[label] = total
         return out
@@ -388,10 +413,11 @@ def _error_profile(model, spec: DistributionSpec) -> _ErrorProfile:
     mix = as_mixture(model)
     forms = tuple(interval_form(h) for h in mix.hypotheses)
     breaks = sorted({b for f in forms for b in f.breaks})
-    probes = cell_probes(breaks).reshape(-1, 1)
+    probes = np.concatenate([cell_probes(breaks), breaks]).reshape(-1, 1)
     cells = MixedClassifier(forms, mix.weights)
     return _ErrorProfile(spec, mix, breaks,
-                         {y: cells.expected_errors(probes, y) for y in (1, -1)})
+                         {y: cells.expected_errors(probes, y) for y in (1, -1)},
+                         all(f is h for f, h in zip(forms, mix.hypotheses)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ INF = math.inf
 
 def normalize(ivs: list[Iv]) -> list[Iv]:
     """Sort, drop empty intervals, and merge overlapping or touching ones."""
+    if len(ivs) == 1:
+        (lo, hi), = ivs
+        return [(lo, hi)] if hi > lo else []
     ivs = sorted((lo, hi) for lo, hi in ivs if hi > lo)
     out: list[Iv] = []
     for lo, hi in ivs:

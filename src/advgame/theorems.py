@@ -312,14 +312,16 @@ def weak_duality_grid(spec: DistributionSpec, cfg: GameConfig,
     """max_j min_i <= min_i max_j over threshold defenders vs their best responses.
 
     Each defender's error profile and each attack's transported measure is
-    built once; the n^2 exact payoffs are read from them.
+    built once; the n^2 exact payoffs are read from them. A threshold predicts
+    what its interval form predicts at every point, so the profiles are of
+    the forms, whose atom errors come from tables.
     """
     from .hypotheses import Threshold
 
     cfg = replace(cfg, eval_method="quadrature")
     hyps = [Threshold(float(t)) for t in thresholds]
     measures = [transported_measure(best_response_attack(h, spec, cfg), spec) for h in hyps]
-    profiles = [_error_profile(h, spec) for h in hyps]
+    profiles = [_error_profile(interval_form(h), spec) for h in hyps]
     payoff = np.array(
         [[_quadrature_score(p, tr, cfg).score for tr in measures] for p in profiles]
     )

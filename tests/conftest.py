@@ -25,6 +25,16 @@ def spec_1d_mix():
 
 
 @pytest.fixture
+def spec_1d_3_2():
+    """Three positive and two negative components of one width: three Bayes roots."""
+    def comps(pairs):
+        return tuple(GaussianComponent(w, (m,), (0.83,)) for w, m in pairs)
+
+    return DistributionSpec(0.5, 1, comps(((0.3, 2.47), (0.23, 0.05), (0.47, -0.95))),
+                            comps(((0.58, -1.96), (0.42, 1.45))))
+
+
+@pytest.fixture
 def spec_2d():
     return DistributionSpec(
         prior_pos=0.5,

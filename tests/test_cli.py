@@ -488,6 +488,9 @@ _BAND_FLIP = {"kind": "region_flip", "base": {"kind": "threshold", "t": 0.5},
      "models[].path has the wrong type or shape: model.biases = [['0.5', "),
     ("alpha-grid", _MLP_FILE | {"model": _MLP_FILE["model"] | {"weights": [[True] * 8, [0.0] * 8]}},
      "models[].path has the wrong type or shape: model.weights = [[True, "),
+    # iterating {} would read an empty list: a classifier that is +1 everywhere
+    ("evaluate", {"kind": "interval1d", "breaks": {}, "signs": [1]},
+     "models[].path has the wrong type or shape: breaks = {}"),
 ])
 def test_model_file_with_a_bad_field_exits_2_naming_it(tmp_path, capsys, sub, raw, message):
     path = tmp_path / "model.json"

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import advgame as ag
+from advgame import game
+from advgame import intervals as iv
 from advgame.errors import ConfigError
 from advgame.game import (
     GameConfig,
@@ -18,6 +21,7 @@ from advgame.game import (
     transported_measure,
     worst_case_score,
 )
+from advgame.hypotheses import interval_form
 from quadrature_oracle import GridSpec, integrate
 
 
@@ -297,3 +301,111 @@ def test_decomposition_score_is_the_worst_case_score(spec_1d_mix, h):
     assert rep.score == worst_case_score(h, spec_1d_mix, cfg)
     parts = rep.risk_term + rep.attack_zone_pos + rep.attack_zone_neg - cfg.lam * rep.penalty_value
     assert rep.score == pytest.approx(parts, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact errors, bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_errors(profile, tr):
+    """The per-cell computation errors() replaces: intersect the alive set with
+    each shifted cell, integrate it as interval_mass did (piece by piece,
+    component by component), and predict every atom with the model itself."""
+    edges = [-math.inf] + profile.breaks + [math.inf]
+    out = {}
+    for label in (1, -1):
+        s, total = tr.shift(label), 0.0
+        cells = zip(profile.errs[label], edges[:-1], edges[1:])  # the cells lead errs
+        for e, lo, hi in cells:
+            if e > 0.0:
+                mass = 0.0
+                for a, b in iv.intersect(tr.alive(label), [(lo - s, hi - s)]):
+                    for c in tr.spec.components(label):
+                        m, sd = c.mean[0], math.sqrt(c.var[0])
+                        mass += c.weight * (ndtr((b - m) / sd) - ndtr((a - m) / sd))
+                total += e * float(mass)
+        if tr.atoms(label):
+            locs, masses = zip(*tr.atoms(label))
+            errs = profile.mix.expected_errors(np.reshape(locs, (-1, 1)), label)
+            for m, e in zip(masses, errs):
+                total += m * float(e)
+        out[label] = total
+    return out
+
+
+def _sweep_models(spec, rng):
+    """Every kind the profile handles, plus the dynamics defenders of rounds 1-3."""
+    labelled = ag.Interval1D((-1.0, 0.0, 0.7), (1, -1, 1, -1), ((0.0, 1), (0.7, -1)))
+    models = [
+        ag.Threshold(0.25), ag.Threshold(float(rng.uniform(-1.5, 1.5)), -1),
+        ag.Linear((0.8,), -0.1),
+        ag.bayes_optimal(spec), ag.RegionFlip(ag.Threshold(0.0), ag.IntervalRegion(0.0, 0.3)),
+        labelled, ag.Interval1D((), (1,)),
+        ag.MixedClassifier((labelled, ag.Interval1D((0.1,), (-1, 1))), (0.6, 0.4)),
+        ag.MixedClassifier((ag.Threshold(0.0), labelled), (0.3, 0.7)),
+    ]
+    for penalty in ("mass", "norm"):
+        h = interval_form(ag.bayes_optimal(spec))
+        for _ in range(3):
+            h = game._defender_of(transported_measure(
+                best_response_attack(h, spec, GameConfig(penalty, 0.3, 0.4)), spec))
+            models.append(h)
+    return models
+
+
+def _sweep_measures(spec, rng):
+    """Zone maps (mass, norm) at eps 0.3 and 0.5 against the Bayes form, three
+    thresholds (one seeded) and the labelled model's cells; translations (none)
+    against the thresholds."""
+    attackers = [interval_form(ag.bayes_optimal(spec)), ag.Threshold(0.0),
+                 ag.Threshold(0.3, -1), ag.Threshold(float(rng.uniform(-1.5, 1.5))),
+                 ag.Interval1D((-1.0, 0.0, 0.7), (1, -1, 1, -1))]
+    out = [transported_measure(IdentityAttack(), spec)]
+    for eps in (0.3, 0.5):
+        for penalty in ("mass", "norm", "none"):
+            cfg = GameConfig(penalty, 0.3, eps)
+            for h in attackers[1:4] if penalty == "none" else attackers:
+                out.append(transported_measure(best_response_attack(h, spec, cfg), spec))
+    return out
+
+
+@pytest.mark.parametrize("spec_name, seed", [("spec_1d", 0), ("spec_1d_mix", 1),
+                                             ("spec_1d_3_2", 2)])
+def test_errors_match_the_per_cell_reference_bit_for_bit(request, spec_name, seed):
+    spec = request.getfixturevalue(spec_name)
+    rng = np.random.default_rng(seed)
+    measures = _sweep_measures(spec, rng)
+    on_labelled_break = inside_a_cell = 0
+    for model in _sweep_models(spec, rng):
+        profile = game._error_profile(model, spec)
+        labels = [getattr(h, "point_labels", ()) for h in profile.mix.hypotheses]
+        labelled = {loc for pairs in labels for loc, _ in pairs}
+        for tr in measures:
+            got, want = profile.errors(tr), _reference_errors(profile, tr)
+            for y in (1, -1):
+                assert (float(got[y]).hex(), type(got[y])) == (float(want[y]).hex(), type(want[y]))
+                if profile.tabled:
+                    locs = [loc for loc, _ in tr.atoms(y)]
+                    on_labelled_break += sum(loc in labelled for loc in locs)
+                    inside_a_cell += sum(loc not in profile.breaks for loc in locs)
+    # both table reads are exercised: an atom on a labelled break, one strictly inside a cell
+    assert on_labelled_break > 0 and inside_a_cell > 0
+
+
+def test_an_atom_on_a_break_reads_the_models_own_prediction_there(spec_1d):
+    # the norm map of Threshold(0) carries both zones onto the break at 0.0
+    tr = transported_measure(best_response_attack(ag.Threshold(0.0), spec_1d,
+                                                  GameConfig("norm", 0.3, 0.5)), spec_1d)
+    (loc_pos, m_pos), = tr.atoms(1)
+    (loc_neg, m_neg), = tr.atoms(-1)
+    assert loc_pos == loc_neg == 0.0
+
+    def errors(point_labels):
+        h = ag.Interval1D((0.0,), (-1, 1), point_labels)
+        return game._error_profile(h, spec_1d).errors(tr)
+
+    pos, neg, unlabelled = errors(((0.0, 1),)), errors(((0.0, -1),)), errors(())
+    # the cells are the same in all three, so only the atom terms differ; an
+    # unlabelled break predicts 0, an error against both labels
+    assert neg[1] == unlabelled[1] == pos[1] + m_pos
+    assert pos[-1] == unlabelled[-1] == neg[-1] + m_neg

@@ -342,6 +342,11 @@ _BAND = {"kind": "band", "h": _THRESHOLD, "delta": 0.5, "side": 1}
     (_MLP | {"model": _MLP["model"] | {"slope": "0.5"}}, "slope"),
     ({"kind": "region_flip", "base": _THRESHOLD, "region": _BAND | {"norm_kind": 2}},
      "norm_kind"),
+    # lists: iterating {} reads no items (a classifier that is +1 everywhere),
+    # iterating a string reads its characters
+    ({"kind": "interval1d", "breaks": {}, "signs": [1]}, "breaks"),
+    (_CELLS | {"signs": {"-1": 1}}, "signs"),
+    ({"kind": "linear", "w": "1", "b": 0.0}, "w"),
 ])
 def test_hypothesis_reader_rejects_a_value_of_the_wrong_type(raw, key):
     # the nested fields sit in the flip's region or in the mlp's net
@@ -349,6 +354,11 @@ def test_hypothesis_reader_rejects_a_value_of_the_wrong_type(raw, key):
             "sizes": "model.", "slope": "model."}.get(key, "") + key
     with pytest.raises(ConfigError, match=rf"^hypothesis\.{path} has the wrong type or shape: "):
         hypothesis_from_dict(raw)
+
+
+def test_hypothesis_reader_takes_a_tuple_for_a_list_from_python():
+    raw = {"kind": "interval1d", "breaks": (0.0,), "signs": (-1, 1), "point_labels": ((0.0, 1),)}
+    assert hypothesis_from_dict(raw) == Interval1D((0.0,), (-1, 1), ((0.0, 1),))
 
 
 def test_hypothesis_reader_takes_whole_floats_as_integers():

@@ -330,18 +330,20 @@ def test_weak_duality_norm_penalty(spec_1d):
 
 
 @pytest.mark.parametrize("penalty", ["mass", "norm"])
-@pytest.mark.parametrize("spec_name", ["spec_1d", "spec_1d_mix"])
+@pytest.mark.parametrize("spec_name", ["spec_1d", "spec_1d_mix", "spec_1d_3_2"])
 def test_weak_duality_payoff_is_the_adversarial_score(request, spec_name, penalty):
-    # each cell is read from a shared error profile and transported measure;
-    # it must carry the bits of the direct score of h_i against phi_j
+    # each cell is read from a shared error profile of h_i's interval form and
+    # transported measure; it must carry the bits of the direct score of the
+    # Threshold h_i against phi_j, also on criterion 10's grid of 11
     spec = request.getfixturevalue(spec_name)
     cfg = GameConfig(penalty, 0.3, 0.5)
-    thresholds = np.linspace(-1.5, 1.5, 7)
-    rep = weak_duality_grid(spec, cfg, thresholds)
-    hyps = [ag.Threshold(float(t)) for t in thresholds]
-    attacks = [ag.best_response_attack(h, spec, cfg) for h in hyps]
-    direct = [[ag.adversarial_score(h, phi, spec, cfg).score for phi in attacks] for h in hyps]
-    assert np.array_equal(np.array(rep.payoff), np.array(direct))
+    for thresholds in (np.linspace(-1.5, 1.5, 7), np.linspace(-1.0, 1.0, 11)):
+        rep = weak_duality_grid(spec, cfg, thresholds)
+        hyps = [ag.Threshold(float(t)) for t in thresholds]
+        attacks = [ag.best_response_attack(h, spec, cfg) for h in hyps]
+        direct = [[ag.adversarial_score(h, phi, spec, cfg).score for phi in attacks]
+                  for h in hyps]
+        assert np.array_equal(np.array(rep.payoff), np.array(direct))
 
 
 # ---------------------------------------------------------------------------
