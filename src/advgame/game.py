@@ -196,37 +196,28 @@ def _zone_pieces(form: Interval1D, budget: float,
                  mode: str) -> tuple[tuple[int, float, float, float], ...]:
     """(y, lo, hi, target) pieces of the zone map of mode "mass" or "norm",
     for y = +1 then -1: class y's band of cells within reach of the opposite
-    sign, split at the midpoint between its two nearest boundaries.
+    sign, split at the midpoint of the cell that holds it.
 
     Norm carries each piece onto its nearest boundary. Mass carries it across
-    by OVERSHOOT, and its band is only budget - OVERSHOOT deep, so the map
-    stays within budget.
+    by OVERSHOOT, and its band is only budget - OVERSHOOT deep (none below
+    OVERSHOOT), so the map stays within budget.
     """
-    radius = budget - OVERSHOOT if mode == "mass" else budget
+    radius = max(budget - OVERSHOOT, 0.0) if mode == "mass" else budget
 
     def target(boundary, side):
         return boundary if mode == "norm" else boundary + side * OVERSHOOT
 
+    edges = [-math.inf, *form.breaks, math.inf]
     out = []
     for y in (1, -1):
-        other = form.sign_intervals(-y)
         for lo, hi in form.band(y, radius):
-            left = [bhi for _, bhi in other if bhi <= lo + 1e-300]
-            right = [blo for blo, _ in other if blo >= hi - 1e-300]
-            lt = max(left) if left else None
-            rt = min(right) if right else None
-            if lt is not None and rt is not None:
-                mid = 0.5 * (lt + rt)
-                if mid > lo:
-                    out.append((y, lo, min(hi, mid), target(lt, -1)))
-                if mid < hi:
-                    out.append((y, max(lo, mid), hi, target(rt, +1)))
-            elif lt is not None:
-                out.append((y, lo, hi, target(lt, -1)))
-            elif rt is not None:
-                out.append((y, lo, hi, target(rt, +1)))
-            else:  # zone nonempty implies a reachable opposite cell
-                raise UnsupportedKind("attack zone with no adjacent opposite cell")
+            i = bisect.bisect_right(form.breaks, lo)
+            lt, rt = edges[i], edges[i + 1]
+            mid = 0.5 * (lt + rt)  # -inf or inf when the cell has one finite end
+            if mid > lo:
+                out.append((y, lo, min(hi, mid), target(lt, -1)))
+            if mid < hi:
+                out.append((y, max(lo, mid), hi, target(rt, +1)))
     return tuple(out)
 
 
@@ -284,21 +275,24 @@ class PointwiseAttack(AttackMap):
 
 @dataclass(frozen=True)
 class Transported1D:
-    """phi_y # mu_y for both classes: mu_y off the zone pieces, shifted by
-    shift_y, plus atoms.
+    """phi_y # mu_y for both classes: mu_y off the map's pieces, shifted by
+    the map's shift_y, plus atoms. The identity map is Map1D(0.0).
 
     Each piece (y, lo, hi, target, mass) is a part of class y's attack zone:
     the map carries mu_y's mass on (lo, hi) to an atom at target. Zone maps
     keep the shifts at 0.0; the penalty-free translation shifts the whole line
-    and has no pieces. Alive sets and atoms are computed once per label, the
-    penalty once per kind.
+    and has no pieces. Pieces are computed once, alive sets and atoms once per
+    label, the penalty once per kind.
     """
 
     spec: DistributionSpec
-    pieces: tuple[tuple[int, float, float, float, float], ...] = ()
-    shift_pos: float = 0.0
-    shift_neg: float = 0.0
+    attack: Map1D = Map1D(0.0)
     _penalties: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[int, float, float, float, float], ...]:
+        return tuple((y, lo, hi, target, interval_mass(self.spec, y, [(lo, hi)]))
+                     for y, lo, hi, target in self.attack.pieces)
 
     def alive(self, label: int) -> list[iv.Iv]:
         """Where mu_label stays, in the coordinates of mu_label."""
@@ -317,7 +311,7 @@ class Transported1D:
                     sorted(acc[y].items())) for y in (1, -1)}
 
     def shift(self, label: int) -> float:
-        return self.shift_pos if label == 1 else self.shift_neg
+        return self.attack.shift(label)
 
     def penalty(self, cfg: GameConfig) -> float:
         """Omega of the map: the moved mass (mass) or the expected move length
@@ -342,10 +336,7 @@ def transported_measure(attack: AttackMap, spec: DistributionSpec) -> Transporte
     if isinstance(attack, IdentityAttack):
         return Transported1D(spec)
     if isinstance(attack, Map1D):
-        return Transported1D(spec, tuple(
-            (y, lo, hi, target, interval_mass(spec, y, [(lo, hi)]))
-            for y, lo, hi, target in attack.pieces
-        ), attack.shift_pos, attack.shift_neg)
+        return Transported1D(spec, attack)
     raise UnsupportedKind(
         f"no exact transported measure for attack kind {type(attack).__name__}"
     )
@@ -354,9 +345,10 @@ def transported_measure(attack: AttackMap, spec: DistributionSpec) -> Transporte
 @dataclass(frozen=True)
 class _ErrorProfile:
     """A model's expected error on each cell between its components' common
-    breaks, against either label: the model's whole input to a quadrature score."""
+    breaks, against either label: the model's whole input to a quadrature score,
+    and the oracle's per-cell table. Only `natural` reads spec."""
 
-    spec: DistributionSpec
+    spec: DistributionSpec | None
     mix: MixedClassifier
     breaks: list[float]
     errs: dict[int, np.ndarray]  # label -> error on each cell, then at each break
@@ -409,7 +401,7 @@ class _ErrorProfile:
         return self.errors(Transported1D(self.spec))
 
 
-def _error_profile(model, spec: DistributionSpec) -> _ErrorProfile:
+def _error_profile(model, spec: DistributionSpec | None) -> _ErrorProfile:
     mix = as_mixture(model)
     forms = tuple(interval_form(h) for h in mix.hypotheses)
     breaks = sorted({b for f in forms for b in f.breaks})
@@ -713,7 +705,7 @@ def _essential_error_pair(cells, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     This is the essential-supremum-compatible error: an isolated boundary
     point only counts for what holds on a neighborhood side of it. cells is
-    the table of _cell_errors.
+    (breaks, error against +1 on each cell) from the model's _error_profile.
     """
     breaks, pos = cells
     pos_left = pos[np.searchsorted(breaks, z, side="left")]
@@ -723,19 +715,6 @@ def _essential_error_pair(cells, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         np.maximum(pos_left, pos_right),
         np.maximum(1.0 - pos_left, 1.0 - pos_right),
     )
-
-
-def _cell_errors(mix: MixedClassifier) -> tuple[np.ndarray, np.ndarray]:
-    """The union breaks of the interval forms and, per union cell (the one below
-    breaks[0] first), the error against +1 summed over components in order."""
-    forms = [(q, interval_form(h)) for q, h in zip(mix.weights, mix.hypotheses)]
-    breaks = np.unique(np.concatenate([f.breaks for _, f in forms]))
-    pos = np.zeros(breaks.size + 1)
-    for q, f in forms:
-        # union cell c > 0 lies in the component's cell just right of breaks[c - 1]
-        cell = np.searchsorted(f.breaks, breaks, side="right")
-        pos += q * (np.asarray(f.signs)[np.r_[0, cell]] != 1)
-    return breaks, pos
 
 
 def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, labels):
@@ -753,8 +732,9 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     exactly on a break), and the penalty grows with |offset|, so a run's best
     point is the origin or its end nearest the origin, which lies next to a
     break. Rounding b - x instead of x + offsets[j] moves that end by at most
-    one index. The errors come from one table of per-cell errors over the
-    union breaks (_cell_errors), summed over components as the full grid sums
+    one index. The errors come from the per-cell table of the model's
+    _error_profile, the one the exact scores read: its union breaks and each
+    cell's error against +1, summed over components as the full grid sums
     them, so maxima are bit-identical, and the first maximizer of smallest
     |offset| is the same grid point. No row's values depend on the other rows
     of its block, so results do not depend on how xs is ordered or batched.
@@ -767,7 +747,8 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     window = np.arange(-2, 3)
     mix = as_mixture(model)
     try:
-        cells = _cell_errors(mix)
+        profile = _error_profile(mix, None)
+        cells = np.asarray(profile.breaks), profile.errs[1][:len(profile.breaks) + 1]
     except UnsupportedKind:
         cells = None
     breaks = np.empty(0) if cells is None else cells[0]

@@ -90,7 +90,6 @@ def verify_no_pure_nash(spec: DistributionSpec, cfg: GameConfig, rounds: int = 5
         raise ConfigError("no-pure-Nash dynamics need a mass or norm penalty")
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    cfg = replace(cfg, eval_method="quadrature")  # assertions use the exact path
     h = interval_form(bayes_optimal(spec))
     profile = _error_profile(h, spec)
     out = []
@@ -171,7 +170,6 @@ def randomization_gap(h1: Hypothesis, spec: DistributionSpec, cfg: GameConfig,
         raise TheoremRangeError(
             f"alpha_thm={alpha_thm} outside the admissible interval ({lo:.6g}, {hi:.6g})"
         )
-    cfg = replace(cfg, eval_method="quadrature")
     t, up = _single_boundary(h1)
     eps, lam, a = cfg.epsilon, cfg.lam, alpha_thm
     nu_neg = 1.0 - spec.prior_pos
@@ -318,7 +316,6 @@ def weak_duality_grid(spec: DistributionSpec, cfg: GameConfig,
     """
     from .hypotheses import Threshold
 
-    cfg = replace(cfg, eval_method="quadrature")
     hyps = [Threshold(float(t)) for t in thresholds]
     measures = [transported_measure(best_response_attack(h, spec, cfg), spec) for h in hyps]
     profiles = [_error_profile(interval_form(h), spec) for h in hyps]

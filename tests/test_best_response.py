@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,12 +24,15 @@ from advgame.game import (
 from advgame.hypotheses import (
     Binned2D,
     Interval1D,
+    IntervalRegion,
     MixedClassifier,
     Mlp,
+    RegionFlip,
+    as_mixture,
     interval_form,
     make_interval1d,
 )
-from advgame import intervals as iv, nets
+from advgame import game, intervals as iv, nets
 from quadrature_oracle import discretized_score
 
 
@@ -248,17 +252,25 @@ def _random_form(rng):
 @pytest.mark.parametrize("penalty", ["mass", "norm", "none"])
 def test_pruned_oracle_matches_dense_grid(penalty, grid_n):
     # dyadic breaks, weights, budgets and xs: some grid points land exactly on
-    # breaks, and the full grid is evaluated without rounding ambiguity
+    # breaks, and the full grid is evaluated without rounding ambiguity. The
+    # last two models are not Interval1D (criterion 4's flip mixture and a 1-D
+    # Linear): the oracle tables, and the dense grid reads, their interval forms
     rng = np.random.default_rng(grid_n + len(penalty))
+    flip = MixedClassifier((ag.Threshold(0.0), RegionFlip(ag.Threshold(0.0),
+                                                          IntervalRegion(0.0, 0.45))), (0.8, 0.2))
     hits = 0
-    for case in range(12):
+    for case in range(14):
         cfg = GameConfig(penalty, float(rng.choice([0.3, 0.45, 0.7])),
                          float(rng.choice([0.25, 0.5])))
         step = 2 * cfg.epsilon / (grid_n - 1)
         xs = np.concatenate([rng.uniform(-2, 2, 24),
                              rng.integers(-2 * 64, 2 * 64, 24) / 64.0,
                              rng.integers(-int(2 / step), int(2 / step), 16) * step])
-        if case % 2:
+        if case >= 12:
+            model = flip if case == 12 else ag.Linear((-1.5,), 0.375)
+            mix = as_mixture(model)
+            forms, weights = [interval_form(h) for h in mix.hypotheses], mix.weights
+        elif case % 2:
             forms, weights = [_random_form(rng), _random_form(rng)], [0.625, 0.375]
             model = MixedClassifier(tuple(forms), tuple(weights))
         else:
@@ -497,3 +509,48 @@ def test_map_with_zero_shift_keeps_signed_zeros():
     out = Map1D(0.5, shift_pos=0.0, shift_neg=0.2).apply(pts, 1)
     assert np.array_equal(out, pts) and math.copysign(1.0, out[0, 0]) == -1.0
     assert np.array_equal(Map1D(0.5, shift_neg=0.2).apply(pts, -1)[:, 0], [0.2, 0.7 + 0.2])
+
+
+def _nearest_opposite_pieces(form, budget, mode):
+    """Reference zone map: each band piece searches every opposite-sign cell
+    for its nearest boundary on either side and splits at their midpoint."""
+    radius = budget - OVERSHOOT if mode == "mass" else budget
+    over = OVERSHOOT if mode == "mass" else 0.0
+    out = []
+    for y in (1, -1):
+        other = form.sign_intervals(-y)
+        for lo, hi in form.band(y, radius):
+            left = [bhi for _, bhi in other if bhi <= lo + 1e-300]
+            right = [blo for blo, _ in other if blo >= hi - 1e-300]
+            lt = max(left) if left else None
+            rt = min(right) if right else None
+            if lt is not None and rt is not None:
+                mid = 0.5 * (lt + rt)
+                if mid > lo:
+                    out.append((y, lo, min(hi, mid), lt - over))
+                if mid < hi:
+                    out.append((y, max(lo, mid), hi, rt + over))
+            elif lt is not None:
+                out.append((y, lo, hi, lt - over))
+            elif rt is not None:
+                out.append((y, lo, hi, rt + over))
+    return tuple(out)
+
+
+def test_zone_pieces_match_the_nearest_opposite_cell_search_bit_for_bit():
+    rng = np.random.default_rng(26)
+    budgets = (2e-6, 0.0625, 0.25, 0.5, 1.0, 3.0, float(rng.uniform(0.01, 2.0)))
+    split = 0
+    for n, dyadic, first, _ in itertools.product(range(7), (True, False), (1, -1), range(6)):
+        if dyadic:
+            breaks = np.sort(rng.choice(np.arange(-48, 49), n, replace=False)) / 16
+        else:
+            breaks = np.sort(rng.uniform(-3.0, 3.0, n))
+        form = Interval1D(tuple(map(float, breaks)), tuple(first * (-1) ** i for i in range(n + 1)))
+        for budget, mode in itertools.product(budgets, ("mass", "norm")):
+            got = game._zone_pieces(form, budget, mode)
+            want = _nearest_opposite_pieces(form, budget, mode)
+            assert ([(y, *map(float.hex, p)) for y, *p in got]
+                    == [(y, *map(float.hex, p)) for y, *p in want])
+            split += any(a[0] == b[0] and a[2] == b[1] for a, b in zip(got, got[1:]))
+    assert split > 0  # some band pieces span a cell's midpoint

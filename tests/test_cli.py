@@ -751,3 +751,27 @@ def test_best_response_zones_are_the_attack_pieces(tmp_path, penalty, zones):
     cfg = write_config(tmp_path, {"game": {"penalty": "none", "lambda": 0.3, "epsilon": 1.0}})
     assert cli.main(["best-response", "--config", cfg, "--out", out]) == 0
     assert "zones" not in read_report(out, "best_response_report.json")["results"]
+
+
+@pytest.mark.parametrize("subcommand, code", [
+    ("score", 0), ("best-response", 0), ("fig1", 0), ("no-nash", 1),
+])
+def test_mass_penalty_with_a_budget_below_the_overshoot_attacks_nothing(tmp_path, capsys,
+                                                                        subcommand, code):
+    # the canonical mass map crosses the boundary by 1e-6, so a budget of 5e-7
+    # leaves it no pieces; no-nash then finds no improvement and fails honestly
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "game_1d.json")
+                     .read_text())
+    cfg["game"]["epsilon"] = 5e-7
+    path = tmp_path / "tiny_eps.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", str(path), "--out", out]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+    results = read_report(out, f"{subcommand.replace('-', '_')}_report.json")["results"]
+    if subcommand == "best-response":
+        assert results["zones"] == {"pos": [], "neg": []}
+    if subcommand == "no-nash":
+        assert results["falsified"] is True
+        assert [r["improvement"] for r in results["rounds"]] == [0.0] * cfg["rounds"]
