@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.optimize import brentq
 
 from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension
 from .fields import count, listed, read, real, section
@@ -269,6 +268,8 @@ def bayes_roots(spec: DistributionSpec) -> list[float]:
 
 
 def _solve_bayes_roots(spec: DistributionSpec) -> list[float]:
+    from scipy.optimize import brentq  # here, so importing advgame does not load it
+
     lo, hi = spec.bounds()
     xs = np.linspace(float(lo[0]), float(hi[0]), BAYES_SCAN_POINTS)
 
@@ -304,6 +305,8 @@ def _island_roots(spec: DistributionSpec, f, xs: np.ndarray, sign: np.ndarray) -
     island the scan stepped over; one root is solved for on each side of the
     interval's probes.
     """
+    from scipy.optimize import brentq
+
     probes = np.array([
         c.mean[0] + k * math.sqrt(c.var[0])
         for c in spec.components_pos + spec.components_neg for k in (-1, 0, 1)

@@ -62,7 +62,7 @@ from .hypotheses import (
 OVERSHOOT = 1e-6
 BUDGET_TOL = 1e-9
 DEFENDER_BINS = 64  # bins per axis of the 2-D binned best-response defender
-ORACLE_BLOCK = 2048  # grid values (rows x candidate offsets) per block of the ball-grid oracle
+ORACLE_BLOCK = 8192  # grid values (candidates x rows) per ball-grid oracle block; 16384 ran slower
 
 PENALTIES = ("mass", "norm", "none")
 EVALS = ("quadrature", "monte_carlo")
@@ -710,24 +710,26 @@ def _essential_error_pair(cells, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     breaks, pos = cells
     pos_left = pos[np.searchsorted(breaks, z, side="left")]
     pos_right = pos[np.searchsorted(breaks, z, side="right")]
-    # binary signs: err against -1 is the complement of err against +1
-    return (
-        np.maximum(pos_left, pos_right),
-        np.maximum(1.0 - pos_left, 1.0 - pos_right),
-    )
+    # binary signs: err against -1 is the complement of err against +1, and
+    # rounded 1 - e falls as e grows, so 1 - min is the max of the complements
+    return np.maximum(pos_left, pos_right), 1.0 - np.minimum(pos_left, pos_right)
 
 
 def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, labels):
-    """Yield (rows, Z, |offsets|, {label: err - lam*pen}) per block of xs.
+    """Yield (rows, offsets[J], Z, {label: err - lam*pen}) per block of xs.
 
     The ball grid is Z = x + offsets[j], offsets = linspace(-eps, eps, grid_n).
-    A block is a set of rows whose balls reach the same breaks b of the
-    interval forms, x + offsets[0] <= b <= x + offsets[-1] (in floats, as Z is
-    computed), cut to at most ORACLE_BLOCK grid values or one row. Each row
-    holds, in ascending j, only the candidate offsets that can carry
-    max_j [err(Z_j) - lam*pen(offsets[j])]: the origin index, plus a window of
-    j = k-2 .. k+2 around k = searchsorted(offsets, b - x) for every break b
-    its ball reaches. This is exact: the one-sided error is constant on each
+    Every array of a block is (candidates, rows): the candidate offsets J run
+    down axis 0 and the block's rows along axis 1, so a row's maximum is an
+    elementwise max over a few contiguous lines. A row reaches the `count`
+    breaks b of the interval forms from breaks[first] on, those with
+    x + offsets[0] <= b <= x + offsets[-1] (in floats, as Z is computed). A
+    block is a set of rows that reach the same number of breaks, cut to at
+    most ORACLE_BLOCK grid values or one row. Its candidates, in no particular
+    order, are only the offsets that can carry
+    max_j [err(Z_j) - lam*pen(offsets[j])]: the origin index, plus a window
+    of j = k-2 .. k+2 around k = searchsorted(offsets, b - x) for every break
+    b the row reaches. This is exact: the one-sided error is constant on each
     run of grid points between consecutive breaks (and on each run sitting
     exactly on a break), and the penalty grows with |offset|, so a run's best
     point is the origin or its end nearest the origin, which lies next to a
@@ -735,8 +737,9 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     one index. The errors come from the per-cell table of the model's
     _error_profile, the one the exact scores read: its union breaks and each
     cell's error against +1, summed over components as the full grid sums
-    them, so maxima are bit-identical, and the first maximizer of smallest
-    |offset| is the same grid point. No row's values depend on the other rows
+    them, so maxima are bit-identical. The full grid's tie rule, the smallest
+    |offset| and then the smallest z, picks the same grid point among the
+    candidates whatever their order. No row's values depend on the other rows
     of its block, so results do not depend on how xs is ordered or batched.
     A model without interval forms keeps all grid_n offsets.
     """
@@ -744,7 +747,7 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     abs_off = np.abs(offsets)
     pens = cfg.lam * _penalty_of_norms(abs_off, cfg.penalty)
     origin = int(np.argmin(abs_off))
-    window = np.arange(-2, 3)
+    window = np.arange(-2, 3)[None, :, None]
     mix = as_mixture(model)
     try:
         profile = _error_profile(mix, None)
@@ -752,35 +755,33 @@ def _ball_grid_values(model, xs: np.ndarray, cfg: GameConfig, grid_n: int, label
     except UnsupportedKind:
         cells = None
     breaks = np.empty(0) if cells is None else cells[0]
-    # a row reaches breaks[first:stop]; one key per (first, stop)
-    n = breaks.size + 1
-    key = (np.searchsorted(breaks, xs + offsets[0], side="left") * n
-           + np.searchsorted(breaks, xs + offsets[-1], side="right"))
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    # a row reaches breaks[first:first + count]; one group per count
+    first = np.searchsorted(breaks, xs + offsets[0], side="left")
+    count = np.searchsorted(breaks, xs + offsets[-1], side="right") - first
+    order = np.argsort(count, kind="stable")
+    starts = np.flatnonzero(np.diff(count[order], prepend=-1))
     for s, e in zip(starts, np.r_[starts[1:], len(xs)]):
-        first, stop = divmod(int(key[order[s]]), n)
-        bs = breaks[first:stop]
-        width = 1 + window.size * bs.size
+        reach = np.arange(count[order[s]])[:, None]
+        width = 1 + window.size * reach.size
         windowed = cells is not None and width < grid_n
         step = max(1, ORACLE_BLOCK // (width if windowed else grid_n))
         for i in range(s, e, step):
             rows = order[i:min(i + step, e)]
             block = xs[rows]
-            J = np.arange(grid_n)[None, :]
+            J = np.arange(grid_n)[:, None]
             if windowed:
-                k = np.searchsorted(offsets, bs[None, :] - block[:, None])
-                near = (k[:, :, None] + window).reshape(len(block), -1)
-                J = np.column_stack([np.full(len(block), origin), near])
-                J = np.sort(np.clip(J, 0, grid_n - 1), axis=1)
-            J = np.broadcast_to(J, (len(block), J.shape[1]))
-            Z = block[:, None] + offsets[J]
+                k = np.searchsorted(offsets, breaks[first[rows] + reach] - block)
+                near = (k[:, None, :] + window).reshape(-1, len(block))
+                J = np.vstack([np.full((1, len(block)), origin), np.clip(near, 0, grid_n - 1)])
+            off = offsets[J]
+            Z = block + off
             if cells is not None:
-                pair = dict(zip((1, -1), _essential_error_pair(cells, Z.ravel())))
+                pair = dict(zip((1, -1), _essential_error_pair(cells, Z)))
             else:
-                pair = {y: mix.expected_errors(Z.reshape(-1, 1), y) for y in labels}
-            vals = {y: pair[y].reshape(Z.shape) - pens[J] for y in labels}
-            yield rows, Z, abs_off[J], vals
+                pair = {y: mix.expected_errors(Z.reshape(-1, 1), y).reshape(Z.shape)
+                        for y in labels}
+            pen = pens[J]
+            yield rows, off, Z, {y: pair[y] - pen for y in labels}
 
 
 def oracle_value_profiles(model, xs: np.ndarray, cfg: GameConfig,
@@ -794,10 +795,11 @@ def oracle_value_profiles(model, xs: np.ndarray, cfg: GameConfig,
     if grid_n < 3 or grid_n % 2 == 0:
         raise InvalidInput(f"grid_n must be odd and >= 3 so the grid includes the origin, "
                            f"got {grid_n}")
+    xs = np.asarray(xs, dtype=float).ravel()
     out = {1: np.empty(xs.shape[0]), -1: np.empty(xs.shape[0])}
     for rows, _, _, vals in _ball_grid_values(model, xs, cfg, grid_n, (1, -1)):
         for label in (1, -1):
-            out[label][rows] = vals[label].max(axis=1)
+            out[label][rows] = vals[label].max(axis=0)
     return out
 
 
@@ -805,17 +807,16 @@ def oracle_attack_points_1d(model, xs: np.ndarray, y: int, cfg: GameConfig,
                             grid_n: int = 4097) -> np.ndarray:
     """Vectorized 1-D oracle: grid argmax of err - lam*pen for every x.
 
-    Tie-break: smallest |offset| first (the offsets grid is symmetric and
-    ascending, so the first minimizer is also the smallest z). Only the grid
-    points that can hold the maximum are evaluated (see _ball_grid_values);
-    the tie-broken maximizer of the full grid is always among them.
+    Tie-break: among the maxima, the smallest |offset|, then the smallest z.
+    Only the grid points that can hold the maximum are evaluated (see
+    _ball_grid_values); the tie-broken maximizer of the full grid is always
+    among them.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     out = np.empty(xs.shape[0])
-    for rows, Z, abs_off, vals in _ball_grid_values(model, xs, cfg, grid_n, (y,)):
-        best = vals[y].max(axis=1, keepdims=True)
-        pick = np.where(vals[y] == best, abs_off, np.inf).argmin(axis=1)
-        out[rows] = Z[np.arange(Z.shape[0]), pick]
+    for rows, off, Z, vals in _ball_grid_values(model, xs, cfg, grid_n, (y,)):
+        dist = np.where(vals[y] == vals[y].max(axis=0), np.abs(off), np.inf)
+        out[rows] = np.where(dist == dist.min(axis=0), Z, np.inf).min(axis=0)
     return out.reshape(-1, 1)
 
 

@@ -280,15 +280,15 @@ def worst_case_score_oracle(model, spec: DistributionSpec, cfg: GameConfig,
     edges = sorted(s for s in splits if lo_b <= s <= hi_b)
     pieces = [(a, (b - a) / per_piece) for a, b in zip(edges[:-1], edges[1:])
               if b - a >= 1e-12]
-    xs = np.concatenate([a + (np.arange(per_piece) + 0.5) * h for a, h in pieces])
+    a, h = np.array(pieces).T
+    xs = (a[:, None] + (np.arange(per_piece) + 0.5) * h[:, None]).ravel()
     profiles = oracle_value_profiles(mix, xs, cfg, inner_n)
-    weighted = {label: profiles[label] * np.asarray(density(spec, label, xs.reshape(-1, 1)))
-                for label in (1, -1)}
+    sums = {label: (profiles[label] * np.asarray(density(spec, label, xs.reshape(-1, 1))))
+            .reshape(-1, per_piece).sum(axis=1) * h for label in (1, -1)}
     total = 0.0
-    for i, (_, h) in enumerate(pieces):
-        piece = slice(i * per_piece, (i + 1) * per_piece)
+    for i in range(h.size):
         for label in (1, -1):
-            total += spec.prior(label) * float(weighted[label][piece].sum() * h)
+            total += spec.prior(label) * float(sums[label][i])
     return total
 
 

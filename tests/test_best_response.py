@@ -335,6 +335,26 @@ def test_oracle_on_no_points_returns_empty_arrays(cfg_norm):
         assert oracle_attack_points_1d(model, np.empty(0), 1, cfg_norm, 33).shape == (0, 1)
 
 
+@pytest.mark.parametrize("penalty", ["mass", "norm"])
+def test_oracle_attack_point_ties_go_to_the_smaller_z(penalty):
+    # at x = 0 both breaks of the +1 cell are maxima at the same |offset|,
+    # and the tie rule takes the smaller z whatever order the candidates have
+    h = Interval1D((-0.25, 0.25), (-1, 1, -1))
+    cfg = GameConfig(penalty, 0.3, 0.5)
+    points = oracle_attack_points_1d(h, np.array([0.0, 0.125, -0.125]), 1, cfg, 33)
+    assert points[:, 0].tolist() == [-0.25, 0.25, -0.25]
+
+
+def test_oracle_value_profiles_reads_points_as_the_attack_points_do(cfg_norm):
+    h = Interval1D((-0.25, 0.25), (-1, 1, -1))
+    xs = np.linspace(-1.0, 1.0, 9)
+    flat = oracle_value_profiles(h, xs, cfg_norm, 33)
+    for form in (xs.tolist(), xs.reshape(-1, 1)):
+        got = oracle_value_profiles(h, form, cfg_norm, 33)
+        for y in (1, -1):
+            assert np.array_equal(got[y], flat[y])
+
+
 # ---------------------------------------------------------------------------
 # Defender best response
 # ---------------------------------------------------------------------------

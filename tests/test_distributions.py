@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,3 +312,19 @@ def test_measure_csv_roundtrip(tmp_path, spec_2d):
         path.write_text(bad)  # a wrong header, a label outside {-1, +1}
         with pytest.raises(InvalidInput):
             dist.measure_from_csv(path)
+
+
+def _loads_scipy_optimize(code: str) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ag.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", f"{code}; import sys; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    return run.stdout.strip() == "True"
+
+
+def test_importing_advgame_does_not_load_scipy_optimize():
+    # brentq is imported inside the Bayes-root solvers, so a command that never
+    # solves a root does not pay for scipy.optimize at start-up
+    if _loads_scipy_optimize("import scipy.special"):
+        pytest.skip("this scipy loads scipy.optimize with scipy.special")
+    assert not _loads_scipy_optimize("import advgame")
