@@ -95,12 +95,19 @@ def bat_vs_at(spec: DistributionSpec, seed: int, *,
     else:
         mixture = MixedClassifier((h1, h2), (1.0 - alpha, alpha))
 
+    at_clean = accuracy(baseline, test.points, test.labels)
+    at_aua = accuracy_under_pgd(baseline, test.points, test.labels, ATTACK_EVAL)
+    if alpha == 0.0 and best == 0:  # the kept mixture is the baseline net itself
+        mixture_clean, mixture_aua = at_clean, at_aua
+    else:
+        mixture_clean = accuracy(mixture, test.points, test.labels)
+        mixture_aua = accuracy_under_pgd(mixture, test.points, test.labels, ATTACK_EVAL)
     return BatBenchmarkRow(
         seed=seed,
-        at_clean=accuracy(baseline, test.points, test.labels),
-        at_aua=accuracy_under_pgd(baseline, test.points, test.labels, ATTACK_EVAL),
-        mixture_clean=accuracy(mixture, test.points, test.labels),
-        mixture_aua=accuracy_under_pgd(mixture, test.points, test.labels, ATTACK_EVAL),
+        at_clean=at_clean,
+        at_aua=at_aua,
+        mixture_clean=mixture_clean,
+        mixture_aua=mixture_aua,
         alpha=float(alpha),
         weights=tuple(mixture.weights),
     )

@@ -11,6 +11,11 @@ pass the same cache on. Both passes broadcast over a leading stack axis: a
 each net's slice of the result is bit-identical to running that net alone.
 Its input is either one (n, d) batch for all K nets or a (K, n, d) array with
 one batch per net; its outputs and gradients then carry the leading K axis.
+Any further leading axis broadcasts the same way: the attacks put a lane
+axis in front, (L, n, d) for a lone net and (L, 1, n, d) for a stack, and
+each lane's slice is bit-identical too. The row axis is not: a row's output
+can change by a few ulp when its batch of rows is split, because the BLAS
+matmul kernel sums a row's products in an order that depends on the batch.
 """
 
 from __future__ import annotations
@@ -122,17 +127,17 @@ def logit_pair_from_output(out: np.ndarray) -> np.ndarray:
     return out
 
 
+MARGIN_SIGNS = np.array([-1.0, 1.0])  # d margin / d (z_neg, z_pos)
+
+
 def ce_loss(logits: np.ndarray, y: np.ndarray):
     """Binary softmax cross entropy from the margin; returns (loss, dloss/dlogits).
 
     y is in {-1, +1}. margin = z_pos - z_neg; loss = log(1 + exp(-y * margin)).
     """
-    y = np.asarray(y, dtype=float)
-    margin = logits[..., 1] - logits[..., 0]
-    loss = np.logaddexp(0.0, -y * margin)
-    dmargin = -y * expit(-y * margin)
-    dlogits = np.stack([-dmargin, dmargin], axis=-1)
-    return loss, dlogits
+    neg_y = -np.asarray(y, dtype=float)
+    z = neg_y * (logits[..., 1] - logits[..., 0])
+    return np.logaddexp(0.0, z), (neg_y * expit(z))[..., None] * MARGIN_SIGNS
 
 
 def backward(model: MlpModel, cache, dout: np.ndarray,

@@ -418,9 +418,9 @@ def test_ridge_pgd_stops_in_its_two_point_cycle(iters, net_calls):
     cfg = ag.PgdConfig(0.3, 0.01, iters, restarts=2, seed=1)
     points = pgd_linf_batch(model, X, Y, cfg, box, mode)[0]
     # every row reaches c within 50 steps of 0.01 from its start in the unit
-    # box: two restarts of 50 and 52 steps, each final iterate scored by one
-    # more forward pass, against 2 * iters steps without the exit
-    assert net_calls == {"forward_cached": 104, "backward": 102}
+    # box: two restarts of 50 and 52 steps, each final iterate scored by the
+    # loss its step already computed, against 2 * iters steps without the exit
+    assert net_calls == {"forward_cached": 102, "backward": 102}
     assert _same_bits(points, _pgd_full_length(model, X, Y, cfg, box, mode)[0])
     # a two-point cycle, not a fixed point: the parity of iters picks the point
     other = pgd_linf_batch(model, X, Y, ag.PgdConfig(0.3, 0.01, iters + 1, restarts=2, seed=1),
@@ -542,6 +542,110 @@ def test_cw_without_early_abort_does_not_depend_on_batching(linear_model):
     adv = ag.adaptive_cw(m, X, Y, cfg)
     assert np.array_equal(adv, np.concatenate([ag.adaptive_cw(m, X[p], Y[p], cfg)
                                                for p in parts]))
+
+
+def _cw_one_mode(model, X, Y, cfg, box=(0.0, 1.0), mode="eot_logits"):
+    """Reference C&W: one EOT mode in its own Adam loop, as cw_l2_batch ran it
+    before the modes became lanes. Every lane must match its bits."""
+    mix = attacks._batched(model)
+    X, Y = attacks._rows(X, Y)
+    lo, hi = box
+    scale, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
+    n = X.shape[0]
+    x_tanh = np.arctanh(np.clip((X - mid) / scale, -1, 1) * 0.999999)
+    const, lower, upper = np.full(n, cfg.initial_const), np.zeros(n), np.full(n, 1e10)
+    o_best_l2, o_best_x, o_success = np.full(n, np.inf), X.copy(), np.zeros(n, dtype=bool)
+    check_every = max(1, cfg.iters // 10)
+    for _ in range(cfg.binary_search_steps):
+        w, m_t, v_t = x_tanh.copy(), np.zeros_like(X), np.zeros_like(X)
+        step_success = np.zeros(n, dtype=bool)
+        prev = np.inf
+        for it in range(1, cfg.iters + 1):
+            tanh_w = np.tanh(w)
+            x_new = mid + scale * tanh_w
+            tau = x_new - X
+            l2sq = (tau ** 2).sum(axis=1)
+            cost, dcost, pairs = attacks._eot_objective(mix, x_new, Y, mode, attacks._cw_hinge)
+            total = l2sq + const * cost
+            miss = attacks._pair_errors(mix.weights, pairs, Y) > 0.5
+            l2 = np.sqrt(l2sq)
+            improved = miss & (l2 < o_best_l2)
+            o_best_l2[improved] = l2[improved]
+            o_best_x[improved] = x_new[improved]
+            o_success |= miss
+            step_success |= miss
+            dw = (2.0 * tau + const[:, None] * dcost) * scale * (1.0 - tanh_w ** 2)
+            m_t = 0.9 * m_t + 0.1 * dw
+            v_t = 0.999 * v_t + 0.001 * dw ** 2
+            mhat = m_t / (1 - 0.9 ** it)
+            vhat = v_t / (1 - 0.999 ** it)
+            w = w - cfg.lr * mhat / (np.sqrt(vhat) + 1e-8)
+            if cfg.abort_early and it % check_every == 0:
+                if total.sum() > prev * 0.9999:
+                    break
+                prev = total.sum()
+        upper = np.where(step_success, np.minimum(upper, const), upper)
+        lower = np.where(step_success, lower, np.maximum(lower, const))
+        const = np.where(upper < 1e9, (lower + upper) / 2.0,
+                         np.where(step_success, const, const * 10.0))
+    return o_best_x, o_best_l2, o_success
+
+
+def _lane_cases():
+    """Nets with random biases, so that their boundaries cross the box."""
+    def net(sizes, seed):
+        out = nets.init_mlp(sizes, seed)
+        for b in out.biases:
+            b[:] = 0.5 * np.random.default_rng(seed + 50).standard_normal(b.shape)
+        return Mlp(out)
+    return {
+        "lone": net((2, 16, 16, 2), 3),
+        "stacked": MixedClassifier(tuple(net((2, 8, 8, 2), s) for s in (3, 4, 5)),
+                                   (0.5, 0.3, 0.2)),
+        "apart": MixedClassifier((ag.Linear((0.7, -1.3), -0.05), net((2, 6, 1), 8),
+                                  net((2, 8, 8, 2), 1)), (0.3, 0.3, 0.4)),
+    }
+
+
+@pytest.mark.parametrize("abort_early", [True, False])
+@pytest.mark.parametrize("case", ["lone", "stacked", "apart"])
+def test_cw_lanes_match_one_mode_runs(case, abort_early, monkeypatch):
+    model = _lane_cases()[case]
+    if case == "apart":  # every component in its own part, a Linear among them
+        monkeypatch.setattr(attacks, "_batched", _apart)
+    X = np.random.default_rng(21).uniform(0.2, 0.8, (24, 2))
+    pair = model_logits(model, X)
+    Y = np.where(pair[:, 1] > pair[:, 0], 1, -1)
+    cfg = ag.CwConfig(lr=0.05, binary_search_steps=4, initial_const=0.1, iters=30,
+                      abort_early=abort_early)
+    modes = ("eot_logits", "eot_loss")
+    lanes_run = []
+    objective = attacks._eot_objective
+
+    def counted(mix, x, y, mode, loss):
+        lanes_run.append(len(mode))
+        return objective(mix, x, y, mode, loss)
+    monkeypatch.setattr(attacks, "_eot_objective", counted)
+    got = attacks._cw_l2_lanes(attacks._batched(model), *attacks._rows(X, Y), cfg, (0.0, 1.0),
+                               modes)
+    monkeypatch.setattr(attacks, "_eot_objective", objective)
+    alone = [cw_l2_batch(model, X, Y, cfg, mode=mode) for mode in modes]
+    for lane, mode in enumerate(modes):
+        want = _cw_one_mode(model, X, Y, cfg, mode=mode)
+        assert want[2].any()
+        for k in range(3):
+            assert _same_bits(got[k][lane], want[k]) and _same_bits(alone[lane][k], want[k])
+    # with the abort on, the two lanes of a mixture stop at different iterations
+    assert (1 in lanes_run) == (abort_early and case != "lone")
+    adv = ag.adaptive_cw(model, X, Y, cfg)
+    (adv_logits, _, _), (adv_loss, _, _) = alone
+    if case == "lone":  # one component: the expected-logits lane alone
+        assert _same_bits(adv, adv_logits)
+        return
+    take = attacks._take_eot_loss(model, Y, adv_logits, adv_loss,
+                                  np.linalg.norm(adv_logits - X, axis=1),
+                                  np.linalg.norm(adv_loss - X, axis=1))
+    assert _same_bits(adv, np.where(take[:, None], adv_loss, adv_logits))
 
 
 def test_adaptive_tie_rule_prefers_expected_logits_unless_strictly_better():

@@ -32,6 +32,26 @@ def quick_cfg(seed=0, epochs=12):
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+def test_forward_bits_hold_over_stacks_and_lanes_not_row_splits():
+    net = nets.init_mlp((2, 24, 24, 2), 0)
+    X = np.random.default_rng(0).uniform(0, 1, (250, 2))
+    whole = nets.forward(net, X)
+    # a row batch split into smaller batches moves some rows by a few ulp:
+    # BLAS kernels sum a row's products in an order that depends on the batch
+    for lo, hi in ((0, 1), (1, 13), (13, 30), (0, 100), (100, 250), (0, 7), (7, 250)):
+        part = nets.forward(net, X[lo:hi])
+        assert np.all(np.abs(part - whole[lo:hi]) <= 1e-14 * np.abs(whole[lo:hi]))
+    # a leading lane axis and a stack axis keep every slice's bits
+    lanes = np.stack([X, X[::-1]])
+    stack = nets.stack([net, nets.init_mlp((2, 24, 24, 2), 1)])
+    by_lane = nets.forward(net, lanes)
+    by_lane_and_net = nets.forward(stack, lanes[:, None])
+    for lane, rows in enumerate(lanes):
+        assert np.array_equal(by_lane[lane], nets.forward(net, rows))
+        for k, lone in enumerate(nets.unstack(stack)):
+            assert np.array_equal(by_lane_and_net[lane, k], nets.forward(lone, rows))
+
+
 def test_forward_zero_weights_gives_zero():
     net = nets.init_mlp((2, 8, 1), seed=0)
     for w in net.weights:
@@ -491,6 +511,37 @@ def test_bat_vs_at_matches_the_pre_merge_loop(alpha_candidates):
     kwargs = dict(n_train=200, n_test=100, train_cfg=cfg, alpha_candidates=alpha_candidates)
     got = experiments.bat_vs_at(spec, 0, first_candidates=2, **kwargs)
     assert got == _pre_merge_bat_vs_at(spec, 0, 200, 100, cfg, 2, alpha_candidates)
+
+
+@pytest.mark.parametrize("best", [0, 1])
+def test_bat_vs_at_attacks_the_baseline_once_when_the_mixture_is_the_baseline(best, monkeypatch):
+    candidates = [nets.init_mlp((2, 4, 2), seed=s) for s in (0, 1)]
+    monkeypatch.setattr(experiments, "_first_classifier", lambda *args: (candidates, best))
+    stand_ins(monkeypatch)  # the boosting round's attack and trainer
+    calls = []
+    pgd = attacks.pgd_linf_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pgd(*args, **kwargs)
+    monkeypatch.setattr(attacks, "pgd_linf_batch", counted)
+    spec = experiments.satellite_task()
+    row = experiments.bat_vs_at(spec, 0, n_train=40, n_test=60, train_cfg=quick_cfg(epochs=1),
+                                alpha_candidates=(0.0,))
+    # the grid search and the baseline, and the mixture only when it is another net
+    assert len(calls) == 2 + (best != 0)
+    test = ag.sample_labeled(spec, 60, seed=9000)
+    baseline, mixture = Mlp(candidates[0]), MixedClassifier((Mlp(candidates[best]),), (1.0,))
+    evaluate = experiments.ATTACK_EVAL
+    assert row == experiments.BatBenchmarkRow(
+        seed=0,
+        at_clean=attacks.accuracy(baseline, test.points, test.labels),
+        at_aua=attacks.accuracy_under_pgd(baseline, test.points, test.labels, evaluate),
+        mixture_clean=attacks.accuracy(mixture, test.points, test.labels),
+        mixture_aua=attacks.accuracy_under_pgd(mixture, test.points, test.labels, evaluate),
+        alpha=0.0,
+        weights=(1.0,),
+    )
 
 
 # ---------------------------------------------------------------------------
