@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nets
 from .errors import ConfigError, UnsupportedKind
-from .hypotheses import Linear, Mlp, as_mixture, three_sign
+from .hypotheses import Linear, Mlp, as_mixture
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def _pair_errors(weights, pairs: np.ndarray, Y) -> np.ndarray:
     """Expected error from the (K, n, 2) per-component logit pairs, with the
     boundary rule of ``MixedClassifier.expected_errors``: a zero margin errs
     on both labels. A Linear pair's margin is 2g, so its sign is g's."""
-    return _weighted_sum(weights, (three_sign(pairs[..., 1] - pairs[..., 0]) != Y) * 1.0)
+    return _weighted_sum(weights, (np.sign(pairs[..., 1] - pairs[..., 0]) != Y) * 1.0)
 
 
 def _rows(X, Y):

@@ -109,10 +109,12 @@ def forward_cached(model: MlpModel, X: np.ndarray):
     pres = []
     h = X
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = h @ w + b
+        a = h @ w
+        a += b
         if i < len(model.weights) - 1:
             pres.append(a)
-            h = np.maximum(a, model.slope * a)
+            h = model.slope * a
+            np.maximum(a, h, out=h)
             acts.append(h)
         else:
             h = a
