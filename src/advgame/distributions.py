@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension
-from .fields import count, listed, read, real, section
+from .fields import count, listed, read, real, section, write
 from . import intervals as iv
 
 WEIGHT_TOL = 1e-12
@@ -327,22 +327,16 @@ def _island_roots(spec: DistributionSpec, f, xs: np.ndarray, sign: np.ndarray) -
 # Serialization
 # ---------------------------------------------------------------------------
 
-def spec_to_dict(spec: DistributionSpec) -> dict:
-    def comps(cs):
-        return [{"weight": c.weight, "mean": list(c.mean), "var": list(c.var)} for c in cs]
-
-    return {
-        "prior_pos": spec.prior_pos,
-        "dimension": spec.dimension,
-        "components_pos": comps(spec.components_pos),
-        "components_neg": comps(spec.components_neg),
-    }
-
-
-_COMPONENTS = listed(section({"weight": (real, MISSING), "mean": (listed(real), MISSING),
-                               "var": (listed(real), MISSING)}, GaussianComponent))
+_COMPONENT = {"weight": (real, MISSING), "mean": (listed(real), MISSING),
+              "var": (listed(real), MISSING)}
+_COMPONENTS = listed(section(_COMPONENT, GaussianComponent))
 _SPEC = {"prior_pos": (real, MISSING), "dimension": (count, MISSING),
          "components_pos": (_COMPONENTS, MISSING), "components_neg": (_COMPONENTS, MISSING)}
+SPEC_TABLES = {DistributionSpec: (None, _SPEC), GaussianComponent: (None, _COMPONENT)}
+
+
+def spec_to_dict(spec: DistributionSpec) -> dict:
+    return write(spec, SPEC_TABLES)
 
 
 def spec_from_dict(d: dict, where: str = "distribution") -> DistributionSpec:

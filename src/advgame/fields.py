@@ -1,5 +1,6 @@
 """One reader for every JSON object the package reads: configs, distribution
-specs, hypotheses, regions, mixtures and model files.
+specs, hypotheses, regions, mixtures and model files. The same tables write every
+kind, spec and component (`write`); a table lists its keys in constructor order.
 
 `read` takes a table {key: (converter, default)}. It rejects unknown keys and
 calls convert(value, path) with each field's dotted path, such as
@@ -12,7 +13,8 @@ from a converter keeps its own message. Fields inside a model file have paths
 
 from __future__ import annotations
 
-from dataclasses import MISSING
+import numbers
+from dataclasses import MISSING, fields as dataclass_fields
 
 from .errors import AdvGameError, ConfigError, UnsupportedKind
 
@@ -68,14 +70,31 @@ def read(raw, where: str, table: dict, defaults: dict | None = None) -> dict:
 
 
 def read_kind(raw, where: str, kinds: dict, what: str):
-    """make(**fields) for the kind that raw["kind"] names, where kinds maps each
+    """make(*values) for the kind that raw["kind"] names, where kinds maps each
     kind to (make, table) and table reads every other key of raw."""
     fields = dict(_object(raw, where))
     kind = fields.pop("kind", None)
     if not isinstance(kind, str) or kind not in kinds:
         raise UnsupportedKind(f"unknown {what} kind {kind!r}")
     make, table = kinds[kind]
-    return make(**read(fields, where, table))
+    return make(*read(fields, where, table).values())
+
+
+def write(value, tables: dict):
+    """value as the JSON that its table reads back: tables maps a dataclass type to
+    (kind, table), kind None for an object without "kind", or to the type's own writer.
+    Tuples and lists are written item by item, and a number, string or None as itself."""
+    entry = tables.get(type(value))
+    if callable(entry):
+        return entry(value)
+    if entry is not None:
+        kind, table = entry
+        return ({} if kind is None else {"kind": kind}) | {
+            key: write(getattr(value, f.name), tables)
+            for key, f in zip(table, dataclass_fields(value), strict=True)}
+    if value is None or isinstance(value, (str, numbers.Number, tuple, list)):
+        return [write(v, tables) for v in value] if isinstance(value, (tuple, list)) else value
+    raise UnsupportedKind(f"cannot serialize {type(value).__name__}")
 
 
 def section(table: dict, make=dict):

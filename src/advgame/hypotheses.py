@@ -16,16 +16,10 @@ import numpy as np
 
 from . import intervals as iv
 from . import nets
-from .distributions import (
-    DistributionSpec,
-    _as_points,
-    bayes_roots,
-    density,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .distributions import (SPEC_TABLES, DistributionSpec, _as_points, bayes_roots, density,
+                            spec_from_dict)
 from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension, UnsupportedKind
-from .fields import count, exactly, listed, read, read_kind, real, row
+from .fields import count, exactly, listed, read, read_kind, real, row, write
 
 WEIGHT_TOL = 1e-12
 BALL_GRID_N = 65  # grid points per axis of the ball that distance_to_sign searches
@@ -500,34 +494,7 @@ def flatten_mixture(model) -> MixedClassifier:
 # ---------------------------------------------------------------------------
 
 def hypothesis_to_dict(h: Hypothesis) -> dict:
-    if isinstance(h, Threshold):
-        return {"kind": "threshold", "t": h.t, "orientation": h.orientation}
-    if isinstance(h, Linear):
-        return {"kind": "linear", "w": list(h.w), "b": h.b}
-    if isinstance(h, Bayes):
-        return {"kind": "bayes", "spec": spec_to_dict(h.spec)}
-    if isinstance(h, Mlp):
-        return {"kind": "mlp", "model": nets.mlp_to_dict(h.net)}
-    if isinstance(h, RegionFlip):
-        return {
-            "kind": "region_flip",
-            "base": hypothesis_to_dict(h.base),
-            "region": region_to_dict(h.region),
-        }
-    if isinstance(h, Interval1D):
-        return {
-            "kind": "interval1d",
-            "breaks": list(h.breaks),
-            "signs": list(h.signs),
-            "point_labels": [[loc, lab] for loc, lab in h.point_labels],
-        }
-    if isinstance(h, Binned2D):
-        return {
-            "kind": "binned2d",
-            "edges": [list(e) for e in h.edges],
-            "signs": [list(row) for row in h.signs],
-        }
-    raise UnsupportedKind(f"cannot serialize {type(h).__name__}")
+    return _to_dict(h, _HYPOTHESES, "")
 
 
 def hypothesis_from_dict(d: dict, where: str = "hypothesis") -> Hypothesis:
@@ -535,24 +502,21 @@ def hypothesis_from_dict(d: dict, where: str = "hypothesis") -> Hypothesis:
 
 
 def region_to_dict(r: Region) -> dict:
-    if isinstance(r, IntervalRegion):
-        return {"kind": "interval", "lo": r.lo, "hi": r.hi}
-    if isinstance(r, BandRegion):
-        return {
-            "kind": "band",
-            "h": hypothesis_to_dict(r.h),
-            "delta": r.delta,
-            "side": r.side,
-            "norm_kind": r.norm_kind,
-        }
-    raise UnsupportedKind(f"cannot serialize region {type(r).__name__}")
+    return _to_dict(r, _REGIONS, "region ")
 
 
 def region_from_dict(d: dict, where: str = "region") -> Region:
     return read_kind(d, where, _REGIONS, "region")
 
 
+def _to_dict(value, kinds: dict, what: str) -> dict:
+    if not any(type(value) is make for make, _ in kinds.values()):
+        raise UnsupportedKind(f"cannot serialize {what}{type(value).__name__}")
+    return write(value, _WRITERS)
+
+
 def mixture_to_dict(m: MixedClassifier) -> dict:
+    # weights first, as every mixture.json has them; MixedClassifier's fields come the other way
     return {
         "weights": list(m.weights),
         "hypotheses": [hypothesis_to_dict(h) for h in m.hypotheses],
@@ -563,12 +527,12 @@ def mixture_from_dict(d: dict, where: str = "mixture") -> MixedClassifier:
     return MixedClassifier(**read(d, where, _MIXTURE))
 
 
-# Each kind's (constructor, table); the readers above look them up when called.
+# Each kind's (dataclass, table); the readers and writers above look them up when called.
 _HYPOTHESES = {
     "threshold": (Threshold, {"t": (real, MISSING), "orientation": (count, None)}),
     "linear": (Linear, {"w": (listed(real), MISSING), "b": (real, MISSING)}),
     "bayes": (Bayes, {"spec": (spec_from_dict, MISSING)}),
-    "mlp": (lambda model: Mlp(model), {"model": (nets.mlp_from_dict, MISSING)}),
+    "mlp": (Mlp, {"model": (nets.mlp_from_dict, MISSING)}),
     "region_flip": (RegionFlip, {"base": (hypothesis_from_dict, MISSING),
                                  "region": (region_from_dict, MISSING)}),
     "interval1d": (Interval1D, {"breaks": (listed(real), MISSING),
@@ -584,3 +548,6 @@ _REGIONS = {
 }
 _MIXTURE = {"hypotheses": (listed(hypothesis_from_dict), MISSING),
             "weights": (listed(real), MISSING)}
+# type -> (kind, table) for every kind, spec and component; a net keeps its own format
+_WRITERS = SPEC_TABLES | {nets.MlpModel: nets.mlp_to_dict} | {
+    cls: (kind, table) for kinds in (_HYPOTHESES, _REGIONS) for kind, (cls, table) in kinds.items()}
