@@ -14,6 +14,7 @@ import numpy as np
 
 from . import nets
 from .errors import ConfigError, UnsupportedKind
+from .fields import check_numbers
 from .hypotheses import Linear, Mlp, as_mixture
 
 
@@ -27,6 +28,8 @@ class PgdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers({"iters": self.iters, "restarts": self.restarts, "seed": self.seed},
+                      {"epsilon_inf": self.epsilon_inf, "step": self.step}, finite=True)
         if self.epsilon_inf <= 0:
             raise ConfigError("epsilon_inf must be > 0")
         if self.step <= 0:
@@ -46,6 +49,8 @@ class CwConfig:
     abort_early: bool = True
 
     def __post_init__(self):
+        check_numbers({"binary_search_steps": self.binary_search_steps, "iters": self.iters},
+                      {"lr": self.lr, "initial_const": self.initial_const}, finite=True)
         for name in ("lr", "binary_search_steps", "initial_const", "iters"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")

@@ -13,6 +13,7 @@ from a converter keeps its own message. Fields inside a model file have paths
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, fields as dataclass_fields
 
@@ -151,3 +152,16 @@ def listed(convert, into=tuple):
 def row(*converts):
     """A converter for a JSON list of exactly one item per converter."""
     return lambda value, path="": tuple(c(v, path) for c, v in zip(converts, value, strict=True))
+
+
+def check_numbers(counts: dict, reals: dict, finite: bool = False) -> None:
+    """ConfigError unless each value in counts is an integer (not a bool) and no
+    value in reals is NaN, nor infinite if finite. A tuple or list holds several values."""
+    for name, value in counts.items():
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+    for name, value in reals.items():
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if math.isnan(v) or finite and math.isinf(v):
+                raise ConfigError(f"{name} must be {'finite' if finite else 'a number'}, got {v}")

@@ -45,6 +45,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedKind,
 )
+from .fields import check_numbers
 from .hypotheses import (
     Hypothesis,
     Interval1D,
@@ -81,6 +82,9 @@ class GameConfig:
     mc_seed: int = 0
 
     def __post_init__(self):
+        # an infinite epsilon is an unbounded attack; a NaN one would pass every check below
+        check_numbers({"mc_n": self.mc_n, "mc_seed": self.mc_seed},
+                      {"lambda": self.lam, "epsilon": self.epsilon})
         if self.penalty not in PENALTIES:
             raise ConfigError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
         if not 0.0 < self.lam < 1.0:

@@ -16,8 +16,14 @@ import numpy as np
 
 from . import intervals as iv
 from . import nets
-from .distributions import (SPEC_TABLES, DistributionSpec, _as_points, bayes_roots, density,
-                            spec_from_dict)
+from .distributions import (
+    SPEC_TABLES,
+    DistributionSpec,
+    _as_points,
+    bayes_roots,
+    density,
+    spec_from_dict,
+)
 from .errors import DimensionMismatch, InvalidInput, UnsupportedDimension, UnsupportedKind
 from .fields import count, exactly, listed, read, read_kind, real, row, write
 
@@ -412,6 +418,16 @@ class Binned2D(Hypothesis):
 
     dimension = 2
 
+    def __post_init__(self):
+        if len(self.edges) != 2 or any(len(e) < 2 or list(e) != sorted(set(e))
+                                       for e in self.edges):
+            raise InvalidInput("edges must be two axes of at least 2 strictly increasing values")
+        shape = (len(self.edges[0]) - 1, len(self.edges[1]) - 1)
+        if len(self.signs) != shape[0] or any(len(row) != shape[1] for row in self.signs):
+            raise InvalidInput(f"signs must be a grid of {shape[0]} x {shape[1]} bins")
+        if any(s not in (-1, 1) for row in self.signs for s in row):
+            raise InvalidInput("bin signs must be +1 or -1")
+
     def decision_values(self, X) -> np.ndarray:
         pts, _ = _as_points(X, 2)
         ex = np.asarray(self.edges[0])
@@ -494,7 +510,7 @@ def flatten_mixture(model) -> MixedClassifier:
 # ---------------------------------------------------------------------------
 
 def hypothesis_to_dict(h: Hypothesis) -> dict:
-    return _to_dict(h, _HYPOTHESES, "")
+    return write(h, _WRITERS)
 
 
 def hypothesis_from_dict(d: dict, where: str = "hypothesis") -> Hypothesis:
@@ -502,17 +518,11 @@ def hypothesis_from_dict(d: dict, where: str = "hypothesis") -> Hypothesis:
 
 
 def region_to_dict(r: Region) -> dict:
-    return _to_dict(r, _REGIONS, "region ")
+    return write(r, _WRITERS)
 
 
 def region_from_dict(d: dict, where: str = "region") -> Region:
     return read_kind(d, where, _REGIONS, "region")
-
-
-def _to_dict(value, kinds: dict, what: str) -> dict:
-    if not any(type(value) is make for make, _ in kinds.values()):
-        raise UnsupportedKind(f"cannot serialize {what}{type(value).__name__}")
-    return write(value, _WRITERS)
 
 
 def mixture_to_dict(m: MixedClassifier) -> dict:

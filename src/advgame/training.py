@@ -21,6 +21,7 @@ from . import nets
 from .attacks import PgdConfig, accuracy, accuracy_under_pgd, pgd_linf_batch
 from .distributions import EmpiricalMeasure
 from .errors import ConfigError, InvalidInput
+from .fields import check_numbers
 from .hypotheses import MixedClassifier, Mlp, flatten_mixture
 
 
@@ -35,14 +36,19 @@ class TrainConfig:
     sizes: tuple[int, ...] = (2, 32, 32, 2)
 
     def __post_init__(self):
+        starts = [s for s, _ in self.lr_stages]
+        rates = [lr for _, lr in self.lr_stages]
+        check_numbers({"epochs": self.epochs, "batch_size": self.batch_size, "seed": self.seed,
+                       "sizes": self.sizes, "lr_stages": starts},
+                      {"momentum": self.momentum, "weight_decay": self.weight_decay,
+                       "lr_stages": rates}, finite=True)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        starts = [s for s, _ in self.lr_stages]
         if not starts or starts != sorted(starts) or starts[0] != 0:
             raise ConfigError("lr_stages must be nonempty, start at epoch 0 and be ordered")
-        if any(lr <= 0 for _, lr in self.lr_stages):
+        if any(lr <= 0 for lr in rates):
             raise ConfigError("learning rates must be > 0")
 
     def lr_at(self, epoch: int) -> float:

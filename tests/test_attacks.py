@@ -44,6 +44,26 @@ def test_config_validation():
         ag.CwConfig(binary_search_steps=0)
 
 
+@pytest.mark.parametrize("make, message", [
+    # a NaN budget died inside numpy's uniform draw, a fractional count at run time
+    (lambda: ag.PgdConfig(np.nan, 0.01, 5), "epsilon_inf must be finite"),
+    (lambda: ag.PgdConfig(np.inf, 0.01, 5), "epsilon_inf must be finite"),
+    (lambda: ag.PgdConfig(0.1, np.nan, 5), "step must be finite"),
+    (lambda: ag.PgdConfig(0.1, 0.01, 2.5), "iters must be an integer"),
+    (lambda: ag.PgdConfig(0.1, 0.01, 5, restarts=True), "restarts must be an integer"),
+    (lambda: ag.PgdConfig(0.1, 0.01, 5, seed=0.0), "seed must be an integer"),
+    (lambda: ag.CwConfig(lr=np.nan), "lr must be finite"),
+    (lambda: ag.CwConfig(initial_const=np.inf), "initial_const must be finite"),
+    (lambda: ag.CwConfig(binary_search_steps=9.0), "binary_search_steps must be an integer"),
+    (lambda: ag.CwConfig(iters=1.5), "iters must be an integer"),
+])
+def test_attack_configs_reject_non_finite_numbers_and_fractional_counts(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+    # numpy integers are integers
+    assert ag.PgdConfig(0.1, 0.01, np.int64(5)).iters == 5
+
+
 def test_paper_presets():
     assert PGD_PAPER.epsilon_inf == pytest.approx(0.031)
     assert PGD_PAPER.step == pytest.approx(0.008)

@@ -86,6 +86,20 @@ def test_invalid_game_config_exits_2(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_malformed_binned2d_exits_2(tmp_path, capsys):
+    # risk ran on this grid of one bin and three signs, one of them 5, and reported 0.4965
+    comps = [[{"weight": 1.0, "mean": [m, 0.0], "var": [1.0, 1.0]}] for m in (1.0, -1.0)]
+    cfg = write_config(tmp_path, {
+        "distribution": {"prior_pos": 0.5, "dimension": 2,
+                         "components_pos": comps[0], "components_neg": comps[1]},
+        "game": {"penalty": "mass", "lambda": 0.3, "epsilon": 0.5,
+                 "eval": {"method": "monte_carlo", "n": 200}},
+        "hypothesis": {"kind": "binned2d", "edges": [[1.0, 0.0], [0.0, 1.0]],
+                       "signs": [[5, -1, 1]]}})
+    assert cli.main(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "edges must be two axes" in capsys.readouterr().err
+
+
 def test_fig1_subcommand(tmp_path):
     cfg = write_config(tmp_path, {"resolution": 201})
     out = str(tmp_path / "fig")

@@ -39,6 +39,21 @@ def test_game_config_validation():
     GameConfig("mass", 0.3, 1.5)  # mass penalty has no epsilon cap
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    # a NaN epsilon passed every range check, and the game then scored the natural risk
+    ({"epsilon": math.nan}, "epsilon must be a number"),
+    ({"lam": math.nan}, "lambda must be a number"),
+    ({"mc_n": 100.5}, "mc_n must be an integer"),
+    ({"mc_n": True}, "mc_n must be an integer"),
+    ({"mc_seed": 1.0}, "mc_seed must be an integer"),
+])
+def test_game_config_rejects_nan_and_fractional_counts(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        GameConfig(**({"penalty": "mass", "lam": 0.3, "epsilon": 0.5} | kwargs))
+    # an unbounded attack stays legal
+    assert GameConfig("mass", 0.3, math.inf).epsilon == math.inf
+
+
 # ---------------------------------------------------------------------------
 # risk
 # ---------------------------------------------------------------------------

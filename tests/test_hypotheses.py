@@ -1,4 +1,5 @@
 import json
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import advgame as ag
-from advgame import distributions, nets
+from advgame import distributions, hypotheses, nets
 from advgame.errors import ConfigError, InvalidInput, UnsupportedKind
 from advgame.hypotheses import (
     Binned2D,
@@ -286,12 +287,16 @@ def test_hypothesis_roundtrips(spec_1d):
         ag.Threshold(0.3, -1),
         ag.Linear((1.0, -2.0), 0.5),
         ag.bayes_optimal(spec_1d),
+        ag.bayes_optimal(ag.DistributionSpec(0.4, 1, _two_components(-1.5, 0.5),
+                                             _two_components(-0.5, 1.5))),
         ag.Mlp(net),
         ag.RegionFlip(ag.Threshold(0.0), ag.IntervalRegion(0.0, 1.0)),
         ag.RegionFlip(ag.Threshold(0.0), band),
         Interval1D((0.0, 1.0), (-1, 1, -1), ((0.0, 1),)),
         Binned2D(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)), ((1, -1), (-1, 1))),
     ]
+    # every kind the reader table knows is written here
+    assert {hypothesis_to_dict(h)["kind"] for h in cases} == set(hypotheses._HYPOTHESES)
     for h in cases:
         raw = json.loads(json.dumps(hypothesis_to_dict(h)))
         back = hypothesis_from_dict(raw)
@@ -307,6 +312,57 @@ def test_hypothesis_roundtrips(spec_1d):
                                (distributions.spec_to_dict, distributions.spec_from_dict, spec_1d)]:
         raw = json.loads(json.dumps(write(value)))
         assert write(read(raw)) == raw
+
+
+def _two_components(*means):
+    return tuple(ag.GaussianComponent(0.5, (m,), (0.6,)) for m in means)
+
+
+def _dataclass_tables():
+    """(dataclass, table) for every kind, region kind, spec and component."""
+    kinds = [entry for table in (hypotheses._HYPOTHESES, hypotheses._REGIONS)
+             for entry in table.values()]
+    return kinds + [(cls, table) for cls, (_, table) in distributions.SPEC_TABLES.items()]
+
+
+@pytest.mark.parametrize("cls, table", _dataclass_tables(),
+                         ids=lambda v: getattr(v, "__name__", "table"))
+def test_reader_table_lists_one_key_per_field_in_constructor_order(cls, table):
+    # the writer puts each field under the key in its position, and read_kind
+    # passes the values positionally, so an optional key can only come last
+    renamed = {(ag.Mlp, "model"): "net"}
+    assert [renamed.get((cls, key), key) for key in table] == [f.name for f in fields(cls)]
+    assert all(default is MISSING for _, default in list(table.values())[:-1])
+
+
+def test_interval1d_point_labels_and_a_two_component_spec_are_written_in_full():
+    # json.dumps keeps key order, which mixture.json (written without sort_keys) shows
+    h = Interval1D((-0.5, 0.0), (1, -1, 1), ((-0.5, -1), (0.0, 1)))
+    assert json.dumps(hypothesis_to_dict(h)) == json.dumps(
+        {"kind": "interval1d", "breaks": [-0.5, 0.0], "signs": [1, -1, 1],
+         "point_labels": [[-0.5, -1], [0.0, 1]]})
+    spec = ag.DistributionSpec(0.4, 1, _two_components(-1.5, 0.5), _two_components(-0.5, 1.5))
+    comps = [[{"weight": 0.5, "mean": [m], "var": [0.6]} for m in pair]
+             for pair in ((-1.5, 0.5), (-0.5, 1.5))]
+    assert json.dumps(hypothesis_to_dict(ag.Bayes(spec))) == json.dumps(
+        {"kind": "bayes", "spec": {"prior_pos": 0.4, "dimension": 1,
+                                   "components_pos": comps[0], "components_neg": comps[1]}})
+
+
+@dataclass(frozen=True)
+class _Unregistered(ag.Hypothesis):
+    t: float
+
+
+def test_writer_rejects_a_type_that_is_not_a_kind():
+    mixture = ag.MixedClassifier((ag.Threshold(0.0),), (1.0,))
+    flip = ag.RegionFlip(_Unregistered(0.0), ag.IntervalRegion(0.0, 1.0))
+    for value, name in ((mixture, "MixedClassifier"), (_Unregistered(0.0), "_Unregistered"),
+                        (flip, "_Unregistered")):
+        with pytest.raises(UnsupportedKind, match=f"^cannot serialize {name}$"):
+            hypothesis_to_dict(value)
+    with pytest.raises(UnsupportedKind, match="^cannot serialize MixedClassifier$"):
+        region_to_dict(ag.BandRegion(mixture, 0.1, 1))
 
 
 _THRESHOLD = {"kind": "threshold", "t": 0.0}
@@ -387,6 +443,22 @@ def test_mlp_reader_takes_whole_float_sizes_and_an_integer_slope():
     model = nets.mlp_from_dict(raw)
     assert model.slope == 0.0 and isinstance(model.slope, float)
     assert [w.shape for w in model.weights] == [(2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("edges, signs, message", [
+    ([[1.0, 0.0], [0.0, 1.0]], [[1]], "edges must be two axes"),  # decreasing
+    ([[0.0, 0.0, 1.0], [0.0, 1.0]], [[1], [1]], "edges must be two axes"),  # repeated
+    ([[0.0], [0.0, 1.0]], [], "edges must be two axes"),  # no bin on an axis
+    ([[0.0, 1.0]], [[1]], "edges must be two axes"),  # one axis
+    ([[0.0, 1.0], [0.0, 1.0]], [[5, -1, 1]], "signs must be a grid of 1 x 1 bins"),
+    ([[0.0, 1.0], [0.0, 1.0]], [], "signs must be a grid of 1 x 1 bins"),
+    ([[0.0, 1.0], [0.0, 0.5, 1.0]], [[1], [1]], "signs must be a grid of 1 x 2 bins"),
+    ([[0.0, 1.0], [0.0, 1.0]], [[5]], "bin signs must be"),
+    ([[0.0, 1.0], [0.0, 1.0]], [[0]], "bin signs must be"),
+])
+def test_binned2d_rejects_malformed_edges_and_signs(edges, signs, message):
+    with pytest.raises(InvalidInput, match=message):
+        hypothesis_from_dict({"kind": "binned2d", "edges": edges, "signs": signs})
 
 
 def test_region_roundtrips_and_rejects_unknown_kinds():

@@ -326,6 +326,23 @@ def test_adversarial_training_beats_natural_under_attack():
     assert aua_adv >= aua_nat
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lr_stages": ((0, math.nan),)}, "lr_stages must be finite"),
+    # an infinite rate or momentum trained a net of NaN weights without an error
+    ({"lr_stages": ((0, 0.1), (1, math.inf))}, "lr_stages must be finite"),
+    ({"momentum": math.inf}, "momentum must be finite"),
+    ({"weight_decay": math.nan}, "weight_decay must be finite"),
+    ({"epochs": 1.5}, "epochs must be an integer"),
+    ({"batch_size": 64.0}, "batch_size must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"sizes": (2, 8.5, 2)}, "sizes must be an integer"),
+    ({"lr_stages": ((0, 0.1), (2.5, 0.01))}, "lr_stages must be an integer"),
+])
+def test_train_config_rejects_non_finite_numbers_and_fractional_counts(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**({"epochs": 3} | kwargs))
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=5, lr_stages=((1, 0.1),))  # must start at epoch 0
