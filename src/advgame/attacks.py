@@ -108,40 +108,6 @@ def _batched(model) -> _Batched:
     return _Batched(mix.weights, tuple(parts))
 
 
-def _forward(mix: _Batched, X: np.ndarray, lanes: bool = False):
-    """The (K, n, 2) logit pairs in component order and each part's forward
-    cache (None for a Linear). A lone component that is a stack of J nets
-    gives (1, J, n, 2): its nets are J independent models, not a mixture.
-
-    With lanes, X is (L, n, d), one batch of rows per lane, and the pairs are
-    (K, L, n, 2). Each part still runs once: a stack of components on
-    X[:, None], giving (L, J, n, 2); a lone net broadcasts over the lanes; a
-    Linear runs lane by lane. A one-part model's pairs are that part's own
-    output, not a copy.
-    """
-    pairs = None
-    caches = []
-    for part, idx in mix.parts:
-        across = lanes and np.ndim(idx) > 0  # components stacked behind the lane axis
-        if isinstance(part, Linear):
-            cache = None
-            out = (np.array([part.decision_values(x) for x in X]) if lanes
-                   else part.decision_values(X))[..., None]
-        else:
-            cache = nets.forward_cached(part, X[:, None] if across else X)
-            out = cache[0]
-        pair = nets.logit_pair_from_output(out)
-        if across:
-            pair = pair.swapaxes(0, 1)
-        caches.append(cache)
-        if len(mix.parts) == 1:
-            return (pair if np.ndim(idx) else pair[None]), caches
-        if pairs is None:  # a grouped part's output has the group axis in front
-            pairs = np.empty((len(mix.weights),) + pair.shape[np.ndim(idx):])
-        pairs[idx] = pair
-    return pairs, caches
-
-
 def _weighted_sum(weights, values) -> np.ndarray:
     """sum_k q_k * values[k], added in component order (the order sets the bits)."""
     out = np.zeros_like(values[0])
@@ -159,84 +125,107 @@ def _pair_errors(weights, pairs: np.ndarray, Y) -> np.ndarray:
 
 def _rows(X, Y):
     """X as float rows (..., n, d) and Y as floats broadcast to its (..., n) row shape."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return X, np.broadcast_to(np.asarray(Y, dtype=float), X.shape[:-1])
+    X, Y = np.array(X, dtype=float, ndmin=2, copy=None), np.asarray(Y, dtype=float)
+    return X, Y if Y.shape == X.shape[:-1] else np.broadcast_to(Y, X.shape[:-1])
 
 
 def model_logits(model, X: np.ndarray) -> np.ndarray:
-    """Exact expected logit pair of the model at each row of X."""
-    mix = _batched(model)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _weighted_sum(mix.weights, _forward(mix, X)[0])
+    """Exact expected logit pair at each row of X: the identity loss's "eot_logits" value."""
+    X = np.array(X, dtype=float, ndmin=2, copy=None)
+    return _objective(_batched(model), X, None, "eot_logits", lambda pair, _: (pair, pair))[1](X)
 
 
-def _eot_mode(weights, pairs: np.ndarray, Y: np.ndarray, mode: str, loss):
-    """One EOT mode's per-sample value and its derivative with respect to the
-    (K, n, 2) per-component logit pairs."""
-    if mode == "eot_logits":
-        value, dpair = loss(_weighted_sum(weights, pairs), Y)
-        return value, np.broadcast_to(dpair, pairs.shape)
-    if mode == "eot_loss":
-        values, dpairs = loss(pairs, Y)
-        return _weighted_sum(weights, values), dpairs
-    raise ConfigError(f"unknown EOT mode {mode!r}")
+def _objective(mix: _Batched, X: np.ndarray, target, mode, loss):
+    """The attack objective, prepared once per attack for inputs shaped like X.
 
-
-def _eot_value(mix: _Batched, X: np.ndarray, Y: np.ndarray, mode, loss):
-    """The forward half of :func:`_eot_objective`: the per-sample value, its
-    derivative with respect to each component's logit pair (K, n, 2), and the
-    (K, n, 2) logit pairs with the forward caches. No backward pass runs.
-
-    mode may be a tuple of L modes, one per lane of X (L, n, d): the value is
-    then (L, n) and the derivatives and pairs (K, L, n, 2), each lane's slice
-    computed by its own mode.
+    loss(pairs, target) gives the per-sample value and its derivative in the
+    logit pairs, on a leading component axis; target holds the labels as the
+    loss reads them (-Y for :func:`nets.ce_loss_neg`). Mode "eot_logits"
+    applies it to the expected logits, "eot_loss" averages the per-component
+    values. step(x) returns the value, its input gradient and the (K, n, 2)
+    logit pairs from one forward and one backward pass per part; value(x) the
+    value alone. Decided once: the parts (each net's biases laid out for X's
+    rows, one contiguous add per layer), the lanes, and one component of
+    weight 1.0: no weighted sum (v + 0.0 has the bits of 0.0 + 1.0 * v), no
+    broadcast. A lone stack of J nets gives (1, J, n, 2), J models. L modes
+    run as lanes on X (L, n, d): values (L, n), pairs (K, L, n, 2), each part
+    once for all lanes, stacked components on X[:, None], a Linear per lane.
     """
-    if isinstance(mode, str):
-        pairs, caches = _forward(mix, X)
-        return (*_eot_mode(mix.weights, pairs, Y, mode, loss), pairs, caches)
-    pairs, caches = _forward(mix, X, lanes=True)
-    value = np.empty(pairs.shape[1:-1])
-    dpairs = np.empty(pairs.shape)
-    for lane, lane_mode in enumerate(mode):
-        value[lane], dpairs[:, lane] = _eot_mode(mix.weights, pairs[:, lane], Y, lane_mode, loss)
-    return value, dpairs, pairs, caches
-
-
-def _eot_objective(model, X: np.ndarray, Y, mode, loss):
-    """Per-sample objective of the logit pairs, its input gradient, and the
-    (K, n, 2) per-component logit pairs it was computed from.
-
-    loss(pair, Y) returns the per-sample value and its derivative with respect
-    to the logit pair, and works on a leading component axis. Mode
-    "eot_logits" applies it to the expected logits; mode "eot_loss" takes the
-    expectation of the per-component values. Both coincide for deterministic
-    models. Each part runs forward once; its backward reuses that pass.
-    X and Y come normalised, as :func:`_rows` returns them. With a tuple of
-    modes X carries a leading lane axis (see :func:`_eot_value`), and each
-    part runs forward and backward once for all the lanes.
-    """
-    mix = _batched(model)
     lanes = not isinstance(mode, str)
-    value, dpairs, pairs, caches = _eot_value(mix, X, Y, mode, loss)
-    single = len(mix.parts) == 1  # reads and writes the part's own arrays
-    dX = None if single else np.empty(pairs.shape[:-1] + X.shape[-1:])  # each component's VJP
-    for (part, idx), cache in zip(mix.parts, caches):
-        across = lanes and np.ndim(idx) > 0
-        dpair = dpairs if single and np.ndim(idx) else dpairs[idx]
-        if across:
-            dpair = dpair.swapaxes(0, 1)
-        if cache is None:  # Linear
-            grad = (dpair[..., 1] - dpair[..., 0])[..., None] * np.asarray(part.w)
-        else:
-            dout = dpair if part.out_dim == 2 else (dpair[..., 1] - dpair[..., 0])[..., None]
-            grad = nets.backward(part, cache, dout, need_param_grads=False)[1]
-        if across:
-            grad = grad.swapaxes(0, 1)
-        if single:
-            dX = grad if np.ndim(idx) else grad[None]
-        else:
-            dX[idx] = grad
-    return value, _weighted_sum(mix.weights, dX), pairs
+    if set(mode if lanes else (mode,)) - {"eot_logits", "eot_loss"}:
+        raise ConfigError(f"unknown EOT mode {mode!r}")
+    single, one_part = mix.weights == (1.0,), len(mix.parts) == 1
+    parts = []  # (model, Linear or not, index, stacked, across the lanes)
+    for part, idx in mix.parts:
+        stacked = np.ndim(idx) > 0
+        linear = isinstance(part, Linear)
+        if not linear:
+            rows = X.shape[:1] + (1,) + X.shape[1:-1] if lanes and stacked else X.shape[:-1]
+            lead = np.broadcast_shapes(rows[:-1], part.weights[0].shape[:-2]) + rows[-1:]
+            biases = [np.empty(lead + b.shape[-1:]) for b in part.biases]
+            for laid, b in zip(biases, part.biases):
+                laid[...] = b
+            part = nets.MlpModel(part.weights, biases, part.slope)
+        parts.append((part, linear, idx, stacked, lanes and stacked))
+
+    def wsum(values):
+        return values[0] + 0.0 if single else _weighted_sum(mix.weights, values)
+
+    def eot(m, pairs):
+        if m == "eot_logits":
+            value, dpair = loss(wsum(pairs), target)
+            return value, dpair[None] if single else np.broadcast_to(dpair, pairs.shape)
+        values, dpairs = loss(pairs, target)
+        return wsum(values), dpairs
+
+    def forward(x):
+        pairs, caches = None, []
+        for part, linear, idx, stacked, across in parts:
+            if linear:
+                cache = None
+                out = (np.array([part.decision_values(r) for r in x]) if lanes
+                       else part.decision_values(x))[..., None]
+            else:
+                cache = nets.forward_cached(part, x[:, None] if across else x)
+                out = cache[0]
+            pair = nets.logit_pair_from_output(out)
+            if across:
+                pair = pair.swapaxes(0, 1)
+            caches.append(cache)
+            if one_part:  # the part's own output, not a copy
+                pairs = pair if stacked else pair[None]
+            else:
+                if pairs is None:  # a grouped part's output has the group axis in front
+                    pairs = np.empty((len(mix.weights),) + pair.shape[stacked:])
+                pairs[idx] = pair
+        if not lanes:
+            return (*eot(mode, pairs), pairs, caches)
+        value, dpairs = np.empty(pairs.shape[1:-1]), np.empty(pairs.shape)
+        for lane, lane_mode in enumerate(mode):
+            value[lane], dpairs[:, lane] = eot(lane_mode, pairs[:, lane])
+        return value, dpairs, pairs, caches
+
+    def step(x):
+        value, dpairs, pairs, caches = forward(x)
+        dX = None if one_part else np.empty(pairs.shape[:-1] + x.shape[-1:])  # per-component VJPs
+        for (part, linear, idx, stacked, across), cache in zip(parts, caches):
+            dpair = dpairs if one_part and stacked else dpairs[idx]
+            if across:
+                dpair = dpair.swapaxes(0, 1)
+            if linear:
+                grad = (dpair[..., 1] - dpair[..., 0])[..., None] * np.asarray(part.w)
+            else:
+                dout = dpair if part.out_dim == 2 else (dpair[..., 1] - dpair[..., 0])[..., None]
+                grad = nets.backward(part, cache, dout, need_param_grads=False)[1]
+            if across:
+                grad = grad.swapaxes(0, 1)
+            if one_part:
+                dX = grad if stacked else grad[None]
+            else:
+                dX[idx] = grad
+        return value, wsum(dX), pairs
+
+    return step, lambda x: forward(x)[0]
 
 
 def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
@@ -244,8 +233,11 @@ def loss_and_input_grad(model, X: np.ndarray, Y, mode: str = "eot_logits"):
 
     mode "eot_logits": loss of the expected logits (the default adaptive
     gradient); mode "eot_loss": expectation of the per-component losses.
+    The objective is prepared once (:func:`_objective`, each net's biases
+    laid out for X's rows) and runs one forward and one backward pass per part.
     """
-    value, grad, _ = _eot_objective(model, *_rows(X, Y), mode, nets.ce_loss)
+    X, Y = _rows(X, Y)
+    value, grad, _ = _objective(_batched(model), X, -Y, mode, nets.ce_loss_neg)[0](X)
     return value, grad
 
 
@@ -278,10 +270,12 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
                    box=(0.0, 1.0), mode: str = "eot_logits"):
     """Best-of-restarts signed-gradient ascent, projected to the ball each step.
 
+    The objective is prepared once per call (:func:`_objective`: the parts,
+    each net's biases laid out for X's rows, -Y); a step runs one forward and
+    one backward pass per part, then its signed step and projection in place.
     Each restart contributes only its final iterate, scored by the loss its
     last step already computed, or, when it ran all ``cfg.iters`` steps, by
-    one more forward pass. Returns (adversarial points, per-sample best
-    losses).
+    one more forward pass. Returns (adversarial points, per-sample best losses).
 
     A restart ends its step loop early, with the bits the full ``cfg.iters``
     steps give, once the whole-batch iterate repeats: equal to the iterate one
@@ -297,8 +291,8 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
     the results are (K, n, d) and (K, n), each net's slice bit-identical to
     attacking that net alone on its batch.
     """
-    mix = _batched(model)
     X, Y = _rows(X, Y)
+    step, value = _objective(_batched(model), X, -Y, mode, nets.ce_loss_neg)
     eps = cfg.epsilon_inf
     # the ball clipped to the box: one clip per step projects onto both
     lo, hi = _clip_box(X - eps, box), _clip_box(X + eps, box)
@@ -312,8 +306,11 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
         x_adv = _clip_box(X + init, box)
         x_back = back_loss = None  # the iterate one step before x_adv, and its loss
         for it in range(cfg.iters):
-            loss, grad, _ = _eot_objective(mix, x_adv, Y, mode, nets.ce_loss)
-            x_new = np.clip(x_adv + cfg.step * np.sign(grad), lo, hi)
+            loss, x_new, _ = step(x_adv)  # the gradient's own array becomes the next iterate
+            np.sign(x_new, out=x_new)
+            x_new *= cfg.step
+            x_new += x_adv
+            np.clip(x_new, lo, hi, out=x_new)
             if _same_bits(x_new, x_adv):
                 break
             if _same_bits(x_new, x_back):  # x_adv and x_new alternate from here
@@ -322,13 +319,14 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
                 break
             x_back, x_adv, back_loss = x_adv, x_new, loss
         else:  # the last step's iterate has not been scored yet
-            loss = _eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
+            loss = value(x_adv)
         if best_x is None:  # a stack's row shape is known after its first pass
-            best_x = np.array(np.broadcast_to(X, loss.shape + X.shape[-1:]))
+            best_x = np.empty(loss.shape + X.shape[-1:])
+            best_x[...] = X
             best_loss = np.full(loss.shape, -np.inf)
         better = loss > best_loss
-        best_x[better] = x_adv[better]
-        best_loss[better] = loss[better]
+        np.copyto(best_x, x_adv, where=better[..., None])
+        np.copyto(best_loss, loss, where=better)
     return best_x, best_loss
 
 
@@ -336,11 +334,11 @@ def pgd_linf_batch(model, X: np.ndarray, Y, cfg: PgdConfig,
 # C&W (l2) with tanh change of variable and binary search on the constant
 # ---------------------------------------------------------------------------
 
-def _cw_hinge(pair: np.ndarray, Y: np.ndarray):
-    """Carlini-Wagner margin cost max(z_true - z_other, 0) and its d/d pair."""
-    margin = np.where(Y == 1, pair[..., 1] - pair[..., 0], pair[..., 0] - pair[..., 1])
+def _cw_hinge(pair: np.ndarray, pos: np.ndarray):
+    """Carlini-Wagner margin cost max(z_true - z_other, 0) and its d/d pair; pos is Y == 1."""
+    margin = np.where(pos, pair[..., 1] - pair[..., 0], pair[..., 0] - pair[..., 1])
     active = margin > 0
-    sgn = np.where(Y == 1, 1.0, -1.0) * active  # d margin / d (z_pos - z_neg)
+    sgn = np.where(pos, 1.0, -1.0) * active  # d margin / d (z_pos - z_neg)
     return np.maximum(margin, 0.0), sgn[..., None] * nets.MARGIN_SIGNS
 
 
@@ -370,9 +368,10 @@ def _cw_l2_lanes(mix: _Batched, X: np.ndarray, Y: np.ndarray, cfg: CwConfig, box
     o_best_x = np.array(np.broadcast_to(X, shape + X.shape[-1:]))
     o_success = np.zeros(shape, dtype=bool)
     check_every = max(1, cfg.iters // 10)
+    all_lanes = _objective(mix, o_best_x, Y == 1, tuple(modes), _cw_hinge)[0]
     for _ in range(cfg.binary_search_steps):
         step_success = np.zeros(shape, dtype=bool)
-        live, live_modes = np.arange(len(modes)), tuple(modes)  # the lanes still stepping
+        live, objective = np.arange(len(modes)), all_lanes  # the lanes still stepping
         w = np.array(np.broadcast_to(x_tanh, o_best_x.shape))
         m_t = np.zeros_like(w)
         v_t = np.zeros_like(w)
@@ -384,7 +383,7 @@ def _cw_l2_lanes(mix: _Batched, X: np.ndarray, Y: np.ndarray, cfg: CwConfig, box
             x_new = mid + scale * tanh_w
             tau = x_new - X
             l2sq = (tau ** 2).sum(axis=-1)
-            cost, dcost, pairs = _eot_objective(mix, x_new, Y, live_modes, _cw_hinge)
+            cost, dcost, pairs = objective(x_new)
             miss = _pair_errors(mix.weights, pairs, Y) > 0.5
             l2 = np.sqrt(l2sq)
             improved = miss & (l2 < best_l2)
@@ -408,7 +407,8 @@ def _cw_l2_lanes(mix: _Batched, X: np.ndarray, Y: np.ndarray, cfg: CwConfig, box
                         break
                     keep = ~stop
                     live, w, m_t, v_t, c, prev = (a[keep] for a in (live, w, m_t, v_t, c, prev))
-                    live_modes = tuple(modes[lane] for lane in live)
+                    objective = _objective(mix, w, Y == 1, tuple(modes[k] for k in live),
+                                           _cw_hinge)[0]
                     best_l2, best_x, success = o_best_l2[live], o_best_x[live], step_success[live]
         else:
             o_best_l2[live], o_best_x[live], step_success[live] = best_l2, best_x, success
@@ -433,6 +433,8 @@ def cw_l2_batch(model, X: np.ndarray, Y, cfg: CwConfig, box=(0.0, 1.0),
     is the one-lane view of the loop in which :func:`adaptive_cw` runs both
     EOT modes as lanes: each lane's early abort reads only its own mode's
     batch-summed objective, so a row's result never depends on the other mode.
+    The objective is prepared once (:func:`_objective`, each net's biases laid
+    out for the lanes' rows) and again only when a lane drops out.
     """
     X, Y = _rows(X, Y)
     points, l2, success = _cw_l2_lanes(_batched(model), X, Y, cfg, box, (mode,))

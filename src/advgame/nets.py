@@ -16,7 +16,14 @@ axis in front, (L, n, d) for a lone net and (L, 1, n, d) for a stack, and
 each lane's slice is bit-identical too. The row axis is not: a row's output
 can change by a few ulp when its batch of rows is split, because the BLAS
 matmul kernel sums a row's products in an order that depends on the batch.
-"""
+
+The cache holds each layer's input, each hidden pre-activation a's gate
+(a > 0) * (1 - slope) + slope, computed once without a branch (exactly 1.0
+where a > 0, else the slope: fl(fl(1 - s) + s) = 1 on [0, 1]), and the a,
+recomputed on reading, since a * gate is written over a. a * gate has the
+bits of max(a, slope * a), signed zeros and NaN included, but at slope 0 +inf
+gives +inf (max gave NaN); delta * gate those of where(a > 0, delta, slope *
+delta). A bias broadcasts over the rows or comes laid out for them."""
 
 from __future__ import annotations
 
@@ -100,25 +107,42 @@ def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return forward_cached(model, X)[0]
 
 
+def _gate(a: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky rectifier's gate: exactly 1.0 where a > 0, exactly slope elsewhere."""
+    gate = (a > 0).astype(float)
+    gate *= 1.0 - slope
+    gate += slope
+    return gate
+
+
+class _PreActivations:
+    """A pass's hidden pre-activations, which it overwrote with the activations:
+    reading one reruns its matmul and add, the same bits while the weights stay."""
+
+    def __init__(self, model: MlpModel, acts: list):
+        self.model, self.acts = model, acts
+
+    def __getitem__(self, i):
+        i = range(len(self.acts) - 1)[i]
+        a = self.acts[i] @ self.model.weights[i]
+        a += self.model.biases[i]
+        return a
+
+
 def forward_cached(model: MlpModel, X: np.ndarray):
-    """Returns (output, preactivations per hidden layer, inputs per layer)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """Returns (output, pre-activations, inputs per layer, gates per hidden layer)."""
+    X = np.array(X, dtype=float, ndmin=2, copy=None)  # no copy of a float array
     if X.shape[-1] != model.in_dim:
         raise DimensionMismatch(f"input has dim {X.shape[-1]}, model wants {model.in_dim}")
-    acts = [X]
-    pres = []
-    h = X
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = h @ w
+    acts, gates = [X], []
+    for w, b in zip(model.weights, model.biases):
+        a = acts[-1] @ w
         a += b
-        if i < len(model.weights) - 1:
-            pres.append(a)
-            h = model.slope * a
-            np.maximum(a, h, out=h)
-            acts.append(h)
-        else:
-            h = a
-    return h, pres, acts
+        if len(acts) == len(model.weights):
+            return a, _PreActivations(model, acts), acts, gates
+        gates.append(_gate(a, model.slope))
+        a *= gates[-1]
+        acts.append(a)
 
 
 def logit_pair_from_output(out: np.ndarray) -> np.ndarray:
@@ -137,7 +161,11 @@ def ce_loss(logits: np.ndarray, y: np.ndarray):
 
     y is in {-1, +1}. margin = z_pos - z_neg; loss = log(1 + exp(-y * margin)).
     """
-    neg_y = -np.asarray(y, dtype=float)
+    return ce_loss_neg(logits, -np.asarray(y, dtype=float))
+
+
+def ce_loss_neg(logits: np.ndarray, neg_y: np.ndarray):
+    """:func:`ce_loss` from the negated labels -y, for an attack that negates them once."""
     z = neg_y * (logits[..., 1] - logits[..., 0])
     return np.logaddexp(0.0, z), (neg_y * expit(z))[..., None] * MARGIN_SIGNS
 
@@ -146,14 +174,14 @@ def backward(model: MlpModel, cache, dout: np.ndarray,
              need_param_grads: bool = True):
     """Backpropagate dL/d(output) through the net.
 
-    cache is the (output, preactivations, inputs) that ``forward_cached``
-    returned for the batch; the forward pass is not run again. Returns
+    cache is what ``forward_cached`` returned for the batch; the forward pass
+    is not run again, and each hidden layer's step multiplies by its gate. Returns
     (param_grads, input_grad); param_grads is a list of (dW, db) pairs summed
     over the batch, or None if not requested. On a stack of K nets every array
     has a leading K axis (db is (K, fan_out)), one slice per net; the input
     gradient is (K, n, d) whether the input was (n, d) or (K, n, d).
     """
-    out, pres, acts = cache
+    out, _, acts, gates = cache
     if dout.shape != out.shape:
         raise InvalidInput(f"dout shape {dout.shape} != output shape {out.shape}")
     grads = [None] * len(model.weights) if need_param_grads else None
@@ -163,7 +191,7 @@ def backward(model: MlpModel, cache, dout: np.ndarray,
             grads[i] = (acts[i].mT @ delta, delta.sum(axis=-2))
         delta = delta @ model.weights[i].mT
         if i > 0:
-            delta = np.where(pres[i - 1] > 0, delta, model.slope * delta)
+            delta *= gates[i - 1]
     return grads, delta
 
 

@@ -158,7 +158,9 @@ def _kink_safe_case(trial, margin=5e-4, tries=200):
         net = nets.init_mlp(sizes, seed=1000 + trial + 7919 * bump)
         for _ in range(tries):
             x = rng.uniform(-1.5, 1.5, (1, net.in_dim))
-            _, pres, _ = nets.forward_cached(net, x)
+            _, pres, _, gates = nets.forward_cached(net, x)
+            # the pre-activations read back from the cache, not their gates (each 1.0 or the slope)
+            assert all(np.all((g == 1.0) | (g == net.slope)) for g in gates)
             if all(np.abs(p).min() > margin for p in pres):
                 return net, x
     raise AssertionError("could not build a kink-safe gradient-check case")

@@ -144,6 +144,104 @@ def test_pgd_accuracy_nonincreasing_in_budget(mlp_model):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the EOT objective dispatched from the model on every call. The
+# objective that attacks._objective prepares once per attack must give its
+# bits. Nets here add their biases by broadcasting over the rows.
+# ---------------------------------------------------------------------------
+
+def _ref_forward(mix, X, lanes=False):
+    pairs = None
+    caches = []
+    for part, idx in mix.parts:
+        across = lanes and np.ndim(idx) > 0
+        if isinstance(part, ag.Linear):
+            cache = None
+            out = (np.array([part.decision_values(x) for x in X]) if lanes
+                   else part.decision_values(X))[..., None]
+        else:
+            cache = nets.forward_cached(part, X[:, None] if across else X)
+            out = cache[0]
+        pair = nets.logit_pair_from_output(out)
+        if across:
+            pair = pair.swapaxes(0, 1)
+        caches.append(cache)
+        if len(mix.parts) == 1:
+            return (pair if np.ndim(idx) else pair[None]), caches
+        if pairs is None:
+            pairs = np.empty((len(mix.weights),) + pair.shape[np.ndim(idx):])
+        pairs[idx] = pair
+    return pairs, caches
+
+
+def _ref_weighted_sum(weights, values):
+    out = np.zeros_like(values[0])
+    for q, v in zip(weights, values):
+        out += q * v
+    return out
+
+
+def _ref_eot_mode(weights, pairs, Y, mode, loss):
+    if mode == "eot_logits":
+        value, dpair = loss(_ref_weighted_sum(weights, pairs), Y)
+        return value, np.broadcast_to(dpair, pairs.shape)
+    values, dpairs = loss(pairs, Y)
+    return _ref_weighted_sum(weights, values), dpairs
+
+
+def _ref_eot_value(mix, X, Y, mode, loss):
+    if isinstance(mode, str):
+        pairs, caches = _ref_forward(mix, X)
+        return (*_ref_eot_mode(mix.weights, pairs, Y, mode, loss), pairs, caches)
+    pairs, caches = _ref_forward(mix, X, lanes=True)
+    value = np.empty(pairs.shape[1:-1])
+    dpairs = np.empty(pairs.shape)
+    for lane, lane_mode in enumerate(mode):
+        value[lane], dpairs[:, lane] = _ref_eot_mode(mix.weights, pairs[:, lane], Y, lane_mode,
+                                                     loss)
+    return value, dpairs, pairs, caches
+
+
+def _ref_eot_objective(model, X, Y, mode, loss):
+    """Per-sample objective, its input gradient and the per-component logit pairs."""
+    mix = attacks._batched(model)
+    lanes = not isinstance(mode, str)
+    value, dpairs, pairs, caches = _ref_eot_value(mix, X, Y, mode, loss)
+    single = len(mix.parts) == 1
+    dX = None if single else np.empty(pairs.shape[:-1] + X.shape[-1:])
+    for (part, idx), cache in zip(mix.parts, caches):
+        across = lanes and np.ndim(idx) > 0
+        dpair = dpairs if single and np.ndim(idx) else dpairs[idx]
+        if across:
+            dpair = dpair.swapaxes(0, 1)
+        if cache is None:
+            grad = (dpair[..., 1] - dpair[..., 0])[..., None] * np.asarray(part.w)
+        else:
+            dout = dpair if part.out_dim == 2 else (dpair[..., 1] - dpair[..., 0])[..., None]
+            grad = nets.backward(part, cache, dout, need_param_grads=False)[1]
+        if across:
+            grad = grad.swapaxes(0, 1)
+        if single:
+            dX = grad if np.ndim(idx) else grad[None]
+        else:
+            dX[idx] = grad
+    return value, _ref_weighted_sum(mix.weights, dX), pairs
+
+
+def _ref_cw_hinge(pair, Y):
+    margin = np.where(Y == 1, pair[..., 1] - pair[..., 0], pair[..., 0] - pair[..., 1])
+    active = margin > 0
+    sgn = np.where(Y == 1, 1.0, -1.0) * active
+    return np.maximum(margin, 0.0), sgn[..., None] * nets.MARGIN_SIGNS
+
+
+def _prepared(model, X, Y, mode, loss):
+    """attacks._objective's step on X, with the target its loss reads."""
+    X, Y = attacks._rows(X, Y)
+    target = -Y if loss is nets.ce_loss_neg else Y == 1
+    return attacks._objective(attacks._batched(model), X, target, mode, loss)[0](X)
+
+
+# ---------------------------------------------------------------------------
 # EOT
 # ---------------------------------------------------------------------------
 
@@ -167,8 +265,7 @@ def test_eot_logits_two_linear_models_average():
 
 EOT_OBJECTIVES = {
     "ce": loss_and_input_grad,
-    "cw_hinge": lambda model, X, Y, mode: attacks._eot_objective(
-        model, X, Y, mode, attacks._cw_hinge)[:2],
+    "cw_hinge": lambda model, X, Y, mode: _prepared(model, X, Y, mode, attacks._cw_hinge)[:2],
 }
 
 
@@ -185,8 +282,9 @@ def test_eot_gradient_is_weighted_sum_and_matches_fd(mlp_model, objective, mode)
     h = 1e-5
     for comp in (mlp_model, other):
         # central differences stay off the leaky-ReLU kinks and the hinge's kink
-        _, pres, _ = nets.forward_cached(comp.net, X)
+        _, pres, _, gates = nets.forward_cached(comp.net, X)
         assert min(np.abs(p).min() for p in pres) > 1e-2
+        assert all(np.all((g == 1.0) | (g == comp.net.slope)) for g in gates)
         pair = model_logits(comp, X)
         assert np.abs(pair[:, 1] - pair[:, 0]).min() > 1e-2
     pair = model_logits(m, X)
@@ -304,6 +402,113 @@ def test_stacked_mixture_matches_per_component_reference(mode, monkeypatch):
         assert _same_bits(got, want)
 
 
+def _biased(sizes, seed):
+    net = nets.init_mlp(sizes, seed)
+    for b in net.biases:
+        b[:] = 0.3 * np.random.default_rng(seed + 70).standard_normal(b.shape)
+    return net
+
+
+def _objective_cases():
+    """(model, X, Y, lanes): a lone net, a zero net, a lone Linear, a stack
+    attacked as K nets on its own and on shared rows, a stacked 3-net mixture
+    and the apart Linear + Mlp mixture, each with its (n, d) rows and, where
+    C&W runs lanes, (2, n, d). The zero net's pairs are (-0.0, 0.0), and the
+    Linear's inactive hinge rows give -0.0 gradients."""
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.1, 0.9, (19, 2))
+    Y = np.where(rng.random(19) < 0.5, 1, -1)
+    XK = rng.uniform(0.1, 0.9, (3, 19, 2))
+    YK = np.where(rng.random((3, 19)) < 0.5, 1, -1)
+    stack = Mlp(nets.stack([_biased((2, 8, 8, 2), s) for s in (3, 4, 5)]))
+    mixture = MixedClassifier(tuple(Mlp(_biased((2, 8, 8, 2), s)) for s in (6, 7, 8)),
+                              (0.5, 0.3, 0.2))
+    apart = _apart(MixedClassifier((ag.Linear((0.7, -1.3), -0.05), Mlp(_biased((2, 6, 1), 9)),
+                                    Mlp(_biased((2, 8, 8, 2), 10))), (0.3, 0.3, 0.4)))
+    zero = nets.init_mlp((2, 4, 1), 0)  # every margin 0: pairs (-0.0, 0.0)
+    for w in zero.weights:
+        w[...] = 0.0
+    return {
+        "lone": (Mlp(_biased((2, 16, 16, 2), 2)), X, Y, True),
+        "zero-margin": (Mlp(zero), X, Y, True),
+        "linear": (ag.Linear((0.7, -1.3), -0.05), X, Y, True),
+        "stack-own-rows": (stack, XK, YK, False),
+        "stack-shared-rows": (stack, X, Y, False),
+        "stacked-mixture": (mixture, X, Y, True),
+        "apart": (apart, X, Y, True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_objective_cases()))
+def test_prepared_objective_matches_reference(case):
+    model, X, Y, lanes = _objective_cases()[case]
+    mix = attacks._batched(model)
+    X, Y = attacks._rows(X, Y)
+    runs = [(mode, X) for mode in ("eot_logits", "eot_loss")]
+    if lanes:  # two lanes, the (n, d) rows moved apart in the second
+        runs.append((("eot_logits", "eot_loss"), np.stack([X, np.clip(X + 0.03, 0, 1)])))
+    for mode, X0 in runs:
+        for loss, ref_loss, target in ((nets.ce_loss_neg, nets.ce_loss, -Y),
+                                       (attacks._cw_hinge, _ref_cw_hinge, Y == 1)):
+            step, value = attacks._objective(mix, X0, target, mode, loss)
+            for x in (X0, np.clip(X0 - 0.05, 0, 1)):  # one preparation, several iterates
+                want = _ref_eot_objective(mix, x, Y, mode, ref_loss)
+                got = step(x)
+                assert len(got) == 3 and all(_same_bits(g, w) for g, w in zip(got, want))
+                assert _same_bits(value(x), _ref_eot_value(mix, x, Y, mode, ref_loss)[0])
+
+
+def _ref_pgd(model, X, Y, cfg, box=(0.0, 1.0), mode="eot_logits"):
+    """Reference PGD restart loop on the reference objective, early exit
+    included. Returns (points, losses, whether each restart ended early)."""
+    mix = attacks._batched(model)
+    X, Y = attacks._rows(X, Y)
+    eps = cfg.epsilon_inf
+    lo, hi = attacks._clip_box(X - eps, box), attacks._clip_box(X + eps, box)
+    best_x, early = None, []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng((cfg.seed, restart))
+        init = rng.uniform(-eps, eps, X.shape[-2:]) if cfg.random_init else 0.0
+        x_adv = attacks._clip_box(X + init, box)
+        x_back = back_loss = None
+        for it in range(cfg.iters):
+            loss, grad, _ = _ref_eot_objective(mix, x_adv, Y, mode, nets.ce_loss)
+            x_new = np.clip(x_adv + cfg.step * np.sign(grad), lo, hi)
+            if attacks._same_bits(x_new, x_adv):
+                break
+            if attacks._same_bits(x_new, x_back):
+                if (cfg.iters - it - 1) % 2 == 0:
+                    x_adv, loss = x_new, back_loss
+                break
+            x_back, x_adv, back_loss = x_adv, x_new, loss
+        else:
+            loss = _ref_eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
+        early.append(it < cfg.iters - 1)
+        if best_x is None:
+            best_x = np.array(np.broadcast_to(X, loss.shape + X.shape[-1:]))
+            best_loss = np.full(loss.shape, -np.inf)
+        better = loss > best_loss
+        best_x[better] = x_adv[better]
+        best_loss[better] = loss[better]
+    return best_x, best_loss, early
+
+
+@pytest.mark.parametrize("random_init", [True, False])
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_objective_cases()))
+def test_pgd_matches_reference_restart_loop(case, restarts, random_init):
+    model, X, Y, _ = _objective_cases()[case]  # "apart" is a _Batched already
+    # a full-budget step settles within a few steps; three short steps never do
+    for cfg, ends_early in ((ag.PgdConfig(0.05, 0.05, 200, restarts, random_init, seed=3), True),
+                            (ag.PgdConfig(0.08, 0.01, 3, restarts, random_init, seed=3), False)):
+        for mode in ("eot_logits", "eot_loss"):
+            got = pgd_linf_batch(model, X, Y, cfg, mode=mode)
+            want = _ref_pgd(model, X, Y, cfg, mode=mode)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+            # a zero gradient leaves every start where it is: a fixed point at once
+            assert want[2] == [ends_early or case == "zero-margin"] * restarts
+
+
 @pytest.mark.parametrize("stack", [False, True])
 def test_attack_sees_in_place_weight_updates(stack):
     nets_ = [nets.init_mlp((2, 8, 8, 2), seed=s) for s in (3, 4)][: 1 + stack]
@@ -359,11 +564,11 @@ def _pgd_full_length(model, X, Y, cfg, box=(0.0, 1.0), mode="eot_logits"):
         init = rng.uniform(-eps, eps, X.shape[-2:]) if cfg.random_init else 0.0
         x_adv = attacks._clip_box(X + init, box)
         for _ in range(cfg.iters):
-            grad = attacks._eot_objective(mix, x_adv, Y, mode, nets.ce_loss)[1]
+            grad = _ref_eot_objective(mix, x_adv, Y, mode, nets.ce_loss)[1]
             x_adv = x_adv + cfg.step * np.sign(grad)
             x_adv = np.clip(x_adv, X - eps, X + eps)
             x_adv = attacks._clip_box(x_adv, box)
-        loss = attacks._eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
+        loss = _ref_eot_value(mix, x_adv, Y, mode, nets.ce_loss)[0]
         if best_x is None:
             best_x = np.array(np.broadcast_to(X, loss.shape + X.shape[-1:]))
             best_loss = np.full(loss.shape, -np.inf)
@@ -422,12 +627,16 @@ def test_linear_pgd_stops_at_its_fixed_point(monkeypatch):
     model, X, Y, box, mode = _exit_cases()["linear"]
     cfg = ag.PgdConfig(0.08, 0.02, 60, restarts=2, seed=2)
     steps = []
-    objective = attacks._eot_objective
+    prepare = attacks._objective
 
     def counted(*args):
-        steps.append(1)
-        return objective(*args)
-    monkeypatch.setattr(attacks, "_eot_objective", counted)
+        step, value = prepare(*args)
+
+        def counted_step(x):
+            steps.append(1)
+            return step(x)
+        return counted_step, value
+    monkeypatch.setattr(attacks, "_objective", counted)
     pgd_linf_batch(model, X, Y, cfg, box, mode)
     assert len(steps) == 2 * 9
 
@@ -504,7 +713,7 @@ def test_cw_miss_rule_matches_expected_errors_on_zero_margin(y):
     X = np.array([[0.3, 0.3], [0.5, 0.5], [0.2, 0.7]])
     Y = np.full(3, y)
     m = MixedClassifier(comps, (0.5, 0.3, 0.2))
-    pairs = attacks._forward(attacks._batched(m), X)[0]
+    pairs = _prepared(m, X, Y, "eot_logits", nets.ce_loss_neg)[2]
     for h, pair in zip(comps, pairs):
         got = attacks._pair_errors((1.0,), pair[None], Y)
         assert np.array_equal(got, MixedClassifier((h,), (1.0,)).expected_errors(X, Y))
@@ -585,7 +794,7 @@ def _cw_one_mode(model, X, Y, cfg, box=(0.0, 1.0), mode="eot_logits"):
             x_new = mid + scale * tanh_w
             tau = x_new - X
             l2sq = (tau ** 2).sum(axis=1)
-            cost, dcost, pairs = attacks._eot_objective(mix, x_new, Y, mode, attacks._cw_hinge)
+            cost, dcost, pairs = _ref_eot_objective(mix, x_new, Y, mode, _ref_cw_hinge)
             total = l2sq + const * cost
             miss = attacks._pair_errors(mix.weights, pairs, Y) > 0.5
             l2 = np.sqrt(l2sq)
@@ -640,15 +849,19 @@ def test_cw_lanes_match_one_mode_runs(case, abort_early, monkeypatch):
                       abort_early=abort_early)
     modes = ("eot_logits", "eot_loss")
     lanes_run = []
-    objective = attacks._eot_objective
+    prepare = attacks._objective
 
-    def counted(mix, x, y, mode, loss):
-        lanes_run.append(len(mode))
-        return objective(mix, x, y, mode, loss)
-    monkeypatch.setattr(attacks, "_eot_objective", counted)
+    def counted(mix, x, target, mode, loss):
+        step, value = prepare(mix, x, target, mode, loss)
+
+        def counted_step(x):
+            lanes_run.append(len(mode))
+            return step(x)
+        return counted_step, value
+    monkeypatch.setattr(attacks, "_objective", counted)
     got = attacks._cw_l2_lanes(attacks._batched(model), *attacks._rows(X, Y), cfg, (0.0, 1.0),
                                modes)
-    monkeypatch.setattr(attacks, "_eot_objective", objective)
+    monkeypatch.setattr(attacks, "_objective", prepare)
     alone = [cw_l2_batch(model, X, Y, cfg, mode=mode) for mode in modes]
     for lane, mode in enumerate(modes):
         want = _cw_one_mode(model, X, Y, cfg, mode=mode)

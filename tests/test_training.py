@@ -149,6 +149,7 @@ def test_rectifier_and_its_backward_step_keep_signed_zeros(slope):
                         [np.zeros(2), np.zeros(1)], slope)
     cache = nets.forward_cached(net, np.array([[0.0, -0.0], [1.5, -2.0], [-0.5, 3.0]]))
     a = cache[1][0]
+    assert _same_bits(cache[3][0], np.where(a > 0, 1.0, slope))  # exactly 1.0 or the slope
     leaky = np.where(a > 0, a, slope * a)
     assert np.array_equal(cache[2][1], leaky)
     assert np.array_equal(np.signbit(cache[2][1]), np.signbit(leaky))
@@ -161,6 +162,35 @@ def test_rectifier_and_its_backward_step_keep_signed_zeros(slope):
 
 def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+GATE_INPUTS = np.array([0.0, -0.0, 1e-310, -1e-310, 1.5, -1.5, np.inf, -np.inf, np.nan])
+
+
+def test_leaky_gate_has_the_bits_of_max_and_where():
+    # every pre-activation against every backward delta, signed zeros included
+    a, delta = np.meshgrid(GATE_INPUTS, GATE_INPUTS)
+    slopes = [0.0, 0.1, 0.5, 1.0] + np.random.default_rng(0).uniform(0, 1, 1000).tolist()
+    for slope in slopes:
+        gate = nets._gate(a, slope)
+        assert gate.tobytes() == np.where(a > 0, 1.0, slope).tobytes()
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            act, want = a * gate, np.maximum(a, slope * a)
+            step, want_step = delta * gate, np.where(a > 0, delta, slope * delta)
+        assert step.tobytes() == want_step.tobytes()
+        # the one input that differs: at slope 0 a +inf pre-activation now
+        # gives +inf, where max(inf, 0 * inf) gave NaN
+        differs = (a == np.inf) & (slope == 0.0)
+        assert np.all(act[differs] == np.inf) and np.all(np.isnan(want[differs]))
+        assert act[~differs].tobytes() == want[~differs].tobytes()
+    # forward_cached runs this gate: pre-activations from per-row biases of a zero layer
+    net = nets.MlpModel([np.zeros((1, 9)), np.ones((9, 1))],
+                        [GATE_INPUTS[None], np.zeros(1)], 0.0)
+    with np.errstate(invalid="ignore"):
+        _, pres, acts, gates = nets.forward_cached(net, np.array([[0.5]]))
+        assert acts[1].tobytes() == (pres[0] * gates[0]).tobytes() and acts[1][0, 6] == np.inf
+    assert pres[0].tobytes() == (0.0 + GATE_INPUTS[None]).tobytes()
+    assert gates[0].tobytes() == nets._gate(pres[0], 0.0).tobytes()
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
